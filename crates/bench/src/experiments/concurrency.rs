@@ -64,8 +64,8 @@ fn replay(
     shared: bool,
 ) -> Replay {
     // Small batches keep shards coupled to trace order (see `repro
-    // serve`); the observe-only guardrail rides along so the shared rows
-    // exercise (and account) the ghost doorkeeper-borrow path without
+    // serve`); the observe-only guardrail rides along so every row
+    // exercises (and accounts) the ghost doorkeeper-borrow path without
     // changing any serving decision.
     let params = ShardParams {
         batch_size: 8,

@@ -18,6 +18,8 @@ use std::time::Duration;
 
 use gbdt::Dataset;
 
+use crate::splitmix64;
+
 /// One failure mode the pipeline must survive.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultKind {
@@ -213,15 +215,6 @@ pub(crate) fn poison_labels(data: &Dataset, fraction: f64, seed: u64) -> Dataset
         labels.push(label);
     }
     Dataset::from_rows(rows, labels).expect("poisoned rows stay finite and rectangular")
-}
-
-/// SplitMix64 finalizer (public-domain constants), the same mix the
-/// guardrail's sampler uses.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

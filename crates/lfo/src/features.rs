@@ -20,8 +20,11 @@
 //! number of exact gap vectors: one-hit wonders live in a compact
 //! doorkeeper sketch (a seeded, direct-mapped array of last-seen times)
 //! and are promoted to an exact history only on their second sighting;
-//! promotion beyond the budget evicts via a CLOCK ring, never a full scan
-//! (DESIGN.md §14).
+//! promotion beyond the budget recycles through a GCLOCK ring, never a
+//! full scan (DESIGN.md §14). Sketch and ring are always a
+//! [`SharedDoorkeeper`]: a tracker built from a budget owns a 1-stripe
+//! pool, and a fleet shard borrows one stripe of the fleet's pool
+//! (DESIGN.md §16). The tracker itself keeps only the exact histories.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -29,7 +32,7 @@ use std::sync::Arc;
 use cdn_trace::{CostModel, ObjectId, Request};
 use serde::{Deserialize, Serialize};
 
-use crate::sketchpool::SharedDoorkeeper;
+use crate::sketchpool::{SharedDoorkeeper, EMPTY_SLOT};
 
 /// Default number of gaps tracked (the paper's 50).
 pub const FEATURE_GAPS: usize = 50;
@@ -37,21 +40,6 @@ pub const FEATURE_GAPS: usize = 50;
 /// Sentinel value for "no such past request" gap slots. Chosen large so
 /// that quantile binning puts all missing gaps into the top bin.
 pub const MISSING_GAP: f32 = 1.0e12;
-
-/// Sketch slot sentinel: no object hashing here has been seen.
-const EMPTY_SLOT: u32 = u32::MAX;
-
-/// Saturation ceiling for CLOCK reference counters: a hot object survives
-/// at most this many hand sweeps without a fresh sighting.
-const CLOCK_MAX_COUNT: u8 = 3;
-
-/// The repo's standard 64-bit mixer (same constants as `lfo::shard`).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Memory budget for a [`FeatureTracker`] (DESIGN.md §14).
 ///
@@ -120,9 +108,9 @@ impl TrackerBudget {
 /// restarted pipeline serve meaningful predictions from its first request.
 ///
 /// The format is budget-agnostic: a snapshot taken from an exact tracker
-/// loads into a bounded one (entries beyond the budget are CLOCK-evicted
-/// on promotion) and vice versa, which is what keeps pre-budget artifacts
-/// warm-starting bounded caches.
+/// loads into a bounded one (entries beyond the budget stay sketched)
+/// and vice versa, which is what keeps pre-budget artifacts warm-starting
+/// bounded caches.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrackerSnapshot {
     /// `(object id, reference times most recent first)`, ordered most
@@ -142,70 +130,58 @@ impl TrackerSnapshot {
     }
 }
 
-/// Exact per-object state: reference times plus the CLOCK slot owning
-/// this object (unused — always 0 — when the tracker is unbounded).
-#[derive(Clone, Debug)]
+/// Exact per-object state: reference times plus the global GCLOCK ring
+/// slot owning this object (unused — always 0 — when unbounded).
+#[derive(Debug)]
 struct ObjectHistory {
     /// Reference times, most recent first, at most `depth + 1` entries.
     times: VecDeque<u64>,
-    /// Index into the CLOCK ring.
+    /// Index into the doorkeeper's GCLOCK ring.
     slot: usize,
 }
 
-/// The CLOCK ring over promoted objects, stored as parallel vectors (nine
-/// bytes per slot instead of sixteen — padding a counter byte into a
-/// struct of `u64`s would double its cost at typical budgets).
-///
-/// Counters are saturating references (GCLOCK). A plain 1-bit CLOCK
-/// forgets how hot an object is the moment the hand clears its bit; under
-/// a flood of tail-object promotions the hand laps the ring fast, and
-/// mid-popularity histories get recycled between their sightings. The
-/// counter gives an object one extra lap of protection per sighting, up
-/// to [`CLOCK_MAX_COUNT`].
-#[derive(Clone, Debug, Default)]
-struct ClockRing {
-    /// The object parked in each slot.
-    objects: Vec<ObjectId>,
-    /// Each slot's saturating reference counter.
-    counts: Vec<u8>,
-}
-
-impl ClockRing {
-    fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    fn push(&mut self, object: ObjectId) {
-        self.objects.push(object);
-        self.counts.push(0);
-    }
-
-    fn park(&mut self, slot: usize, object: ObjectId) {
-        self.objects[slot] = object;
-        self.counts[slot] = 0;
-    }
-
-    fn reference(&mut self, slot: usize) {
-        self.counts[slot] = self.counts[slot].saturating_add(1).min(CLOCK_MAX_COUNT);
-    }
-
-    fn approximate_bytes(&self) -> usize {
-        self.objects.len() * (std::mem::size_of::<ObjectId>() + 1)
-    }
-}
-
-/// A tracker's attachment to a fleet-shared doorkeeper pool: the pool
-/// plus the ring stripe this tracker owns (DESIGN.md §16). When present,
-/// the tracker's own `sketch`/`clock`/`hand` stay empty — sketch slots
-/// and ring sweeps go through the pool instead.
-#[derive(Clone, Debug)]
-struct SharedStripe {
+/// A bounded tracker's doorkeeper: the pool holding the sketch and the
+/// GCLOCK ring, plus the ring stripe this tracker parks promotions on.
+#[derive(Debug)]
+struct Doorkeeper {
     pool: Arc<SharedDoorkeeper>,
     stripe: usize,
+    /// The tracker built this 1-stripe pool from its own budget, so the
+    /// pool's sketch is part of the tracker's footprint. A borrowed fleet
+    /// pool's sketch is counted once at the pool instead.
+    owned: bool,
+}
+
+impl Doorkeeper {
+    /// Parks `object` on this tracker's stripe, forgetting whichever live
+    /// owner the stripe's GCLOCK sweep recycled. The pool never sees the
+    /// history map, so the staleness check is handed over as a closure.
+    fn promote(
+        &self,
+        history: &mut HashMap<ObjectId, ObjectHistory>,
+        object: ObjectId,
+        times: VecDeque<u64>,
+    ) {
+        let outcome = self
+            .pool
+            .stripe_promote(self.stripe, object, |owner, slot| {
+                history.get(&owner).is_some_and(|h| h.slot == slot)
+            });
+        if let Some(victim) = outcome.evicted {
+            history.remove(&victim);
+        }
+        history.insert(
+            object,
+            ObjectHistory {
+                times,
+                slot: outcome.slot,
+            },
+        );
+    }
 }
 
 /// Tracks per-object request history and produces feature vectors.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FeatureTracker {
     /// 1-based gap indices emitted as features, ascending. The dense
     /// default is `1..=n`; Figure 8's discussion suggests thinning to
@@ -219,16 +195,8 @@ pub struct FeatureTracker {
     /// is finite.
     history: HashMap<ObjectId, ObjectHistory>,
     budget: TrackerBudget,
-    /// Doorkeeper sketch: direct-mapped last-seen times (saturated to
-    /// `u32`, so four bytes per slot), [`EMPTY_SLOT`] where no object has
-    /// hashed yet. Empty when unbounded.
-    sketch: Vec<u32>,
-    /// CLOCK ring over promoted objects. Empty when unbounded.
-    clock: ClockRing,
-    /// CLOCK hand: next ring slot the eviction sweep examines.
-    hand: usize,
-    /// Fleet-shared doorkeeper attachment (`None` = single-owner state).
-    shared: Option<SharedStripe>,
+    /// Sketch and ring of a bounded tracker (`None` = unbounded).
+    doorkeeper: Option<Doorkeeper>,
 }
 
 impl FeatureTracker {
@@ -247,7 +215,9 @@ impl FeatureTracker {
         Self::with_budget(schedule, cost_model, TrackerBudget::default())
     }
 
-    /// Creates a tracker with an explicit [`TrackerBudget`].
+    /// Creates a tracker with an explicit [`TrackerBudget`]. A bounded
+    /// budget builds a 1-stripe [`SharedDoorkeeper`] that this tracker
+    /// owns outright.
     ///
     /// # Panics
     ///
@@ -265,10 +235,11 @@ impl FeatureTracker {
             cost_model,
             history: HashMap::new(),
             budget,
-            sketch: vec![EMPTY_SLOT; budget.slots()],
-            clock: ClockRing::default(),
-            hand: 0,
-            shared: None,
+            doorkeeper: budget.is_bounded().then(|| Doorkeeper {
+                pool: Arc::new(SharedDoorkeeper::new(budget, 1)),
+                stripe: 0,
+                owned: true,
+            }),
         }
     }
 
@@ -294,18 +265,24 @@ impl FeatureTracker {
         stripe: usize,
     ) -> Self {
         assert!(stripe < pool.stripes(), "stripe out of range");
-        let budget = pool.budget();
-        let mut tracker = Self::with_budget(schedule, cost_model, budget);
-        // The fleet sketch lives in the pool — drop the private copy the
-        // plain constructor sized for the budget.
-        tracker.sketch = Vec::new();
-        tracker.shared = Some(SharedStripe { pool, stripe });
+        let mut tracker = Self::with_schedule(schedule, cost_model);
+        tracker.budget = pool.budget();
+        tracker.doorkeeper = Some(Doorkeeper {
+            pool,
+            stripe,
+            owned: false,
+        });
         tracker
     }
 
-    /// The fleet-shared doorkeeper this tracker borrows, if any.
+    /// The fleet-shared doorkeeper this tracker borrows, if any (`None`
+    /// for unbounded trackers and for the 1-stripe pool a bounded tracker
+    /// owns).
     pub fn shared_pool(&self) -> Option<&Arc<SharedDoorkeeper>> {
-        self.shared.as_ref().map(|s| &s.pool)
+        self.doorkeeper
+            .as_ref()
+            .filter(|d| !d.owned)
+            .map(|d| &d.pool)
     }
 
     /// Whether `object` currently has an exact (promoted) gap history —
@@ -335,22 +312,13 @@ impl FeatureTracker {
         self.history.len()
     }
 
-    /// Bytes held by the doorkeeper sketch (0 when unbounded).
+    /// Bytes held by the doorkeeper sketch this tracker owns (0 when
+    /// unbounded or when the sketch is a borrowed fleet pool's).
     pub fn sketch_bytes(&self) -> usize {
-        self.sketch.len() * 4
-    }
-
-    /// Saturates a request time into a sketch slot. Traces past `u32::MAX`
-    /// requests pin to the ceiling: coarse gaps flatten there, exact
-    /// histories (always full `u64`) are unaffected.
-    fn sketch_time(time: u64) -> u32 {
-        time.min(u64::from(u32::MAX - 1)) as u32
-    }
-
-    /// The sketch slot for `object` (bounded trackers only).
-    fn bucket(&self, object: ObjectId) -> usize {
-        debug_assert!(!self.sketch.is_empty());
-        (splitmix64(self.budget.seed ^ object.0) as usize) & (self.sketch.len() - 1)
+        match &self.doorkeeper {
+            Some(d) if d.owned => d.pool.sketch_bytes(),
+            _ => 0,
+        }
     }
 
     /// Builds the feature vector for `request` *before* recording it, with
@@ -403,14 +371,12 @@ impl FeatureTracker {
                 // coarse gap_1 (subject to slot collisions) so one-hit
                 // wonders still look "recently seen once" to the model
                 // rather than brand new.
-                let slot = match &self.shared {
-                    Some(s) => Some(s.pool.load_slot(s.pool.bucket(request.object))),
-                    None if self.sketch.is_empty() => None,
-                    None => Some(self.sketch[self.bucket(request.object)]),
-                };
-                let coarse = slot.and_then(|t| {
-                    (t != EMPTY_SLOT).then(|| request.time.saturating_sub(u64::from(t)) as f32)
-                });
+                let coarse = self
+                    .doorkeeper
+                    .as_ref()
+                    .map(|d| d.pool.load_slot(d.pool.bucket(request.object)))
+                    .filter(|&t| t != EMPTY_SLOT)
+                    .map(|t| request.time.saturating_sub(u64::from(t)) as f32);
                 match coarse {
                     Some(gap) if self.schedule[0] == 1 => {
                         out.push(gap);
@@ -424,11 +390,7 @@ impl FeatureTracker {
 
     /// Records a request into the history (call after [`Self::features`]).
     pub fn record(&mut self, request: &Request) {
-        if let Some(shared) = self.shared.clone() {
-            self.record_shared(&shared, request);
-            return;
-        }
-        if !self.budget.is_bounded() {
+        let Some(dk) = &self.doorkeeper else {
             let entry = self
                 .history
                 .entry(request.object)
@@ -439,19 +401,17 @@ impl FeatureTracker {
             entry.times.push_front(request.time);
             entry.times.truncate(self.depth + 1);
             return;
-        }
+        };
+        let b = dk.pool.bucket(request.object);
         if let Some(h) = self.history.get_mut(&request.object) {
             h.times.push_front(request.time);
             h.times.truncate(self.depth + 1);
-            let slot = h.slot;
-            self.clock.reference(slot);
-            let b = self.bucket(request.object);
-            self.sketch[b] = Self::sketch_time(request.time);
+            dk.pool.reference(h.slot);
+            dk.pool.update_slot(b, request.time);
             return;
         }
-        let b = self.bucket(request.object);
-        let prior = self.sketch[b];
-        self.sketch[b] = Self::sketch_time(request.time);
+        // Slots only advance, so a racing shard's later time is kept.
+        let prior = dk.pool.update_slot(b, request.time);
         if prior == EMPTY_SLOT {
             // Doorkeeper: a first sighting costs one sketch slot, nothing
             // more. One-hit wonders never allocate a history.
@@ -459,113 +419,16 @@ impl FeatureTracker {
         }
         // Second sighting (or a slot collision promoting early): seed the
         // exact history with the sketched prior time so the next feature
-        // row's gap_1/gap_2 match what an exact tracker would emit.
+        // row's gap_1/gap_2 match what an exact tracker would emit. On a
+        // fleet pool another shard may have written the prior, at or past
+        // this request's time; `min`/`<` keep the history monotonic.
         let prior = u64::from(prior);
         let mut times = VecDeque::with_capacity(2);
         times.push_front(prior.min(request.time));
         if prior < request.time {
             times.push_front(request.time);
         }
-        self.promote(request.object, times);
-    }
-
-    /// The shared-pool mirror of the bounded [`Self::record`] branch:
-    /// same doorkeeper protocol, but sketch slots advance by CAS in the
-    /// fleet pool (so a racing shard's later time is kept, never
-    /// regressed) and promotions recycle through this tracker's ring
-    /// stripe instead of a private CLOCK.
-    fn record_shared(&mut self, shared: &SharedStripe, request: &Request) {
-        let b = shared.pool.bucket(request.object);
-        if let Some(h) = self.history.get_mut(&request.object) {
-            h.times.push_front(request.time);
-            h.times.truncate(self.depth + 1);
-            shared.pool.reference(h.slot);
-            shared.pool.update_slot(b, request.time);
-            return;
-        }
-        let prior = shared.pool.update_slot(b, request.time);
-        if prior == EMPTY_SLOT {
-            // Doorkeeper: a first sighting (fleet-wide) costs one shared
-            // sketch slot, nothing more.
-            return;
-        }
-        // Second sighting — possibly observed by *another* shard first,
-        // so the sketched prior may be at or past this request's time;
-        // `min`/`<` keep the seeded history monotonic either way.
-        let prior = u64::from(prior);
-        let mut times = VecDeque::with_capacity(2);
-        times.push_front(prior.min(request.time));
-        if prior < request.time {
-            times.push_front(request.time);
-        }
-        self.promote_shared(shared, request.object, times);
-    }
-
-    /// Parks `object` in this tracker's pool stripe, forgetting whichever
-    /// live owner the stripe's GCLOCK sweep recycled. The staleness check
-    /// the private `clock_evict` does inline is handed to the pool as a
-    /// closure over this tracker's history map.
-    fn promote_shared(&mut self, shared: &SharedStripe, object: ObjectId, times: VecDeque<u64>) {
-        let history = &self.history;
-        let outcome = shared
-            .pool
-            .stripe_promote(shared.stripe, object, |owner, slot| {
-                history.get(&owner).is_some_and(|h| h.slot == slot)
-            });
-        if let Some(victim) = outcome.evicted {
-            self.history.remove(&victim);
-        }
-        self.history.insert(
-            object,
-            ObjectHistory {
-                times,
-                slot: outcome.slot,
-            },
-        );
-    }
-
-    /// Inserts an exact history for `object`, reclaiming a CLOCK slot when
-    /// the budget is full. Bounded trackers only. The new slot starts with
-    /// its counter at zero — promotion itself is not a reference, so an
-    /// object idle since its promoting sighting loses the ring to one that
-    /// kept getting hits.
-    fn promote(&mut self, object: ObjectId, times: VecDeque<u64>) {
-        let slot = if self.clock.len() < self.budget.max_objects {
-            self.clock.push(object);
-            self.clock.len() - 1
-        } else {
-            let s = self.clock_evict();
-            self.clock.park(s, object);
-            s
-        };
-        self.history.insert(object, ObjectHistory { times, slot });
-    }
-
-    /// Advances the CLOCK hand to the next reclaimable slot: stale slots
-    /// (owner forgotten or re-promoted elsewhere) are taken immediately,
-    /// owners with a nonzero counter get it decremented and another lap,
-    /// and the first zero-count owner is evicted. Amortized O(1); at most
-    /// `CLOCK_MAX_COUNT + 1` laps even when every resident is saturated.
-    fn clock_evict(&mut self) -> usize {
-        loop {
-            if self.hand >= self.clock.len() {
-                self.hand = 0;
-            }
-            let s = self.hand;
-            self.hand += 1;
-            let owner = self.clock.objects[s];
-            match self.history.get(&owner) {
-                Some(h) if h.slot == s => {
-                    if self.clock.counts[s] > 0 {
-                        self.clock.counts[s] -= 1;
-                    } else {
-                        self.history.remove(&owner);
-                        return s;
-                    }
-                }
-                _ => return s,
-            }
-        }
+        dk.promote(&mut self.history, request.object, times);
     }
 
     /// Convenience: features, then record.
@@ -599,35 +462,16 @@ impl FeatureTracker {
     /// Loads snapshot history into this tracker. Snapshot entries replace
     /// any same-object history; other state is kept. Histories deeper than
     /// this tracker's schedule are truncated, and a bounded tracker
-    /// promotes entries in snapshot order (most recently touched first),
-    /// CLOCK-evicting once the budget fills — so an exact snapshot from a
-    /// pre-budget artifact warm-starts a bounded tracker with its hottest
-    /// objects.
+    /// promotes entries in snapshot order (most recently touched first)
+    /// while its ring stripe has room, sketching the rest — so an exact
+    /// snapshot from a pre-budget artifact warm-starts a bounded tracker
+    /// with its hottest objects.
     pub fn load_snapshot(&mut self, snapshot: &TrackerSnapshot) {
-        if let Some(shared) = self.shared.clone() {
-            for (id, times) in &snapshot.entries {
-                let object = ObjectId(*id);
-                let mut deque: VecDeque<u64> = times.iter().copied().collect();
-                deque.truncate(self.depth + 1);
-                if let Some(&latest) = deque.front() {
-                    shared.pool.update_slot(shared.pool.bucket(object), latest);
-                }
-                if let Some(h) = self.history.get_mut(&object) {
-                    h.times = deque;
-                    shared.pool.reference(h.slot);
-                } else if shared.pool.stripe_has_room(shared.stripe) {
-                    self.promote_shared(&shared, object, deque);
-                }
-                // else: stripe full — hottest-first ordering means the
-                // remainder are the coldest and stay sketched.
-            }
-            return;
-        }
         for (id, times) in &snapshot.entries {
             let object = ObjectId(*id);
             let mut deque: VecDeque<u64> = times.iter().copied().collect();
             deque.truncate(self.depth + 1);
-            if !self.budget.is_bounded() {
+            let Some(dk) = &self.doorkeeper else {
                 self.history.insert(
                     object,
                     ObjectHistory {
@@ -636,58 +480,55 @@ impl FeatureTracker {
                     },
                 );
                 continue;
-            }
+            };
             if let Some(&latest) = deque.front() {
-                let b = self.bucket(object);
-                self.sketch[b] = Self::sketch_time(latest);
+                dk.pool.update_slot(dk.pool.bucket(object), latest);
             }
             if let Some(h) = self.history.get_mut(&object) {
                 h.times = deque;
-                let slot = h.slot;
-                self.clock.reference(slot);
-            } else if self.history.len() < self.budget.max_objects {
-                self.promote(object, deque);
+                dk.pool.reference(h.slot);
+            } else if dk.pool.stripe_has_room(dk.stripe) {
+                dk.promote(&mut self.history, object, deque);
             }
-            // else: budget full — snapshot entries arrive hottest-first,
+            // else: stripe full — snapshot entries arrive hottest-first,
             // so the remainder are the coldest and stay sketched.
         }
     }
 
     /// Drops history for objects not touched since `time`, bounding memory
     /// on unbounded streams. Sketch slots older than `time` are wiped too,
-    /// so forgotten one-hit wonders look brand new again. On a shared
-    /// pool the sketch wipe is fleet-wide (the sketch is fleet state);
-    /// exact histories are only dropped locally.
+    /// so forgotten one-hit wonders look brand new again. On a fleet pool
+    /// the sketch wipe is fleet-wide (the sketch is fleet state); exact
+    /// histories are only dropped locally.
     pub fn forget_older_than(&mut self, time: u64) {
         self.history
             .retain(|_, h| h.times.front().copied().unwrap_or(0) >= time);
-        if let Some(shared) = &self.shared {
-            shared.pool.forget_older_than(time);
-            return;
-        }
-        for slot in &mut self.sketch {
-            if *slot != EMPTY_SLOT && u64::from(*slot) < time {
-                *slot = EMPTY_SLOT;
-            }
+        if let Some(dk) = &self.doorkeeper {
+            dk.pool.forget_older_than(time);
         }
     }
 
     /// Approximate bytes of tracker state (the paper estimates 208 bytes
     /// per object for a naive dense representation; the sparse tracker
     /// only pays for requests actually seen). Covers the exact histories,
-    /// the CLOCK ring, and the doorkeeper sketch.
+    /// the GCLOCK ring, and an owned doorkeeper sketch.
     pub fn approximate_bytes(&self) -> usize {
         let histories = self
             .history
             .values()
             .map(|h| 8 * h.times.len() + 56)
             .sum::<usize>();
-        match &self.shared {
-            // Shared mode: this tracker pays for its histories and its
-            // ring stripe's share; the fleet sketch is counted once at
-            // the pool ([`SharedDoorkeeper::sketch_bytes`]), not here.
-            Some(s) => histories + s.pool.stripe_ring_bytes(s.stripe),
-            None => histories + self.clock.approximate_bytes() + self.sketch_bytes(),
+        match &self.doorkeeper {
+            None => histories,
+            // An owned pool is private state: the ring slots parked so far
+            // plus the whole sketch.
+            Some(d) if d.owned => {
+                histories + d.pool.stripe_parked_bytes(d.stripe) + d.pool.sketch_bytes()
+            }
+            // A fleet pool: this tracker pays for its ring stripe's share;
+            // the fleet sketch is counted once at the pool
+            // ([`SharedDoorkeeper::sketch_bytes`]), not here.
+            Some(d) => histories + d.pool.stripe_ring_bytes(d.stripe),
         }
     }
 }
@@ -695,6 +536,7 @@ impl FeatureTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::splitmix64;
 
     fn tracker() -> FeatureTracker {
         FeatureTracker::new(4, CostModel::ByteHitRatio)

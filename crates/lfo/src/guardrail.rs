@@ -57,6 +57,8 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use cdn_trace::{ObjectId, Request};
 use serde::{Deserialize, Serialize};
 
+use crate::splitmix64;
+
 /// Serving mode the guardrail currently holds a cache in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GuardrailMode {
@@ -169,8 +171,8 @@ pub struct GuardrailSnapshot {
     /// Sampled bytes the real cache actually hit.
     pub shadow_realized_hit_bytes: u64,
     /// Sampled requests whose ghost inserts were skipped because the
-    /// object had not yet cleared the shared doorkeeper (see
-    /// [`Guardrail::set_borrow_doorkeeper`]); 0 when not borrowing.
+    /// object had not yet cleared the cache's doorkeeper (see
+    /// [`Guardrail::record_shadowed`]); 0 for a cache without one.
     pub doorkeeper_skips: u64,
     /// Estimated ghost bookkeeping bytes those skips avoided (entry-size
     /// estimates per skipped insert, not live occupancy).
@@ -195,16 +197,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     } else {
         num as f64 / den as f64
     }
-}
-
-/// SplitMix64 finalizer — the same mix [`shard_of`](crate::shard_of) routes
-/// with, reused here so the sampled substream is a uniform slice of every
-/// shard's traffic.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// SplitMix64-backed hasher for the `ObjectId`-keyed ghost maps. These maps
@@ -496,12 +488,6 @@ pub struct Guardrail {
     mode: GuardrailMode,
     lru: LruGhost,
     learned: GhostCache,
-    /// When true the ghosts borrow the cache's shared doorkeeper instead
-    /// of minting their own admission state: a miss on an object that has
-    /// not cleared the doorkeeper is *not* inserted into either ghost (the
-    /// one-hit-wonder tail the doorkeeper exists to filter), and the
-    /// avoided bookkeeping is counted in `doorkeeper_saved_bytes`.
-    borrow_doorkeeper: bool,
     doorkeeper_skips: u64,
     doorkeeper_saved_bytes: u64,
     trips: u64,
@@ -538,7 +524,6 @@ impl Guardrail {
                 Some(k) => GhostCache::sampled(ghost_capacity, k),
                 None => GhostCache::new(ghost_capacity),
             },
-            borrow_doorkeeper: false,
             doorkeeper_skips: 0,
             doorkeeper_saved_bytes: 0,
             trips: 0,
@@ -580,27 +565,6 @@ impl Guardrail {
             || splitmix64(object.0) & ((1u64 << self.config.sample_shift) - 1) == 0
     }
 
-    /// Makes the ghosts borrow the cache's doorkeeper instead of minting
-    /// their own admission state: once set, a sampled *miss* on an object
-    /// the caller reports as not yet past the doorkeeper (see
-    /// [`Self::record_shadowed`]) skips both ghost inserts — mirroring the
-    /// real tracker, which holds no history for such objects either — and
-    /// the avoided bookkeeping is accumulated in the snapshot's
-    /// `doorkeeper_saved_bytes`. One-hit wonders never hit again, so the
-    /// skipped inserts contribute no hit bytes to either shadow BHR; at
-    /// worst the un-polluted ghost LRU retains real content slightly
-    /// longer, which tightens (never weakens) the bound.
-    pub fn set_borrow_doorkeeper(&mut self, borrow: bool) {
-        self.borrow_doorkeeper = borrow;
-    }
-
-    /// Whether ghost inserts are filtered on doorkeeper evidence. Callers
-    /// use this to skip producing the evidence (a per-request history
-    /// probe) when it would be ignored anyway.
-    pub fn borrows_doorkeeper(&self) -> bool {
-        self.borrow_doorkeeper
-    }
-
     /// Observes one served request: `priority` and `admit` are the learned
     /// policy's *would-be* eviction priority (nonnegative) and admission
     /// decision for this request, `hit` is the real cache's outcome.
@@ -612,8 +576,16 @@ impl Guardrail {
 
     /// [`Self::record`] with doorkeeper evidence: `past_doorkeeper` says
     /// whether the cache's admission tracker holds exact history for this
-    /// object (i.e. the doorkeeper has seen it before). Ignored unless
-    /// [`Self::set_borrow_doorkeeper`] enabled borrowing.
+    /// object (i.e. the doorkeeper has seen it before); a cache without a
+    /// doorkeeper passes `true`. The ghosts borrow the cache's doorkeeper
+    /// instead of minting their own admission state: a sampled *miss* on
+    /// an object not yet past it skips both ghost inserts — mirroring the
+    /// real tracker, which holds no history for such objects either — and
+    /// the avoided bookkeeping is accumulated in the snapshot's
+    /// `doorkeeper_saved_bytes`. One-hit wonders never hit again, so the
+    /// skipped inserts contribute no hit bytes to either shadow BHR; at
+    /// worst the un-polluted ghost LRU retains real content slightly
+    /// longer, which tightens (never weakens) the bound.
     pub fn record_shadowed(
         &mut self,
         request: &Request,
@@ -628,17 +600,15 @@ impl Guardrail {
         if !self.sampled(request.object) {
             return 0;
         }
-        let cleared = past_doorkeeper || !self.borrow_doorkeeper;
         self.win_requests += 1;
         self.win_bytes += request.size;
         if hit {
             self.win_realized_hit_bytes += request.size;
         }
-        // Ghost LRU: recency-ordered, admits everything — except, when
-        // borrowing the doorkeeper, objects the doorkeeper has not cleared
-        // (they cannot be resident, so this branch is always a miss-path
-        // insert being avoided).
-        if cleared || self.lru.entries.contains_key(&request.object) {
+        // Ghost LRU: recency-ordered, admits everything — except objects
+        // the doorkeeper has not cleared (they cannot be resident, so this
+        // branch is always a miss-path insert being avoided).
+        if past_doorkeeper || self.lru.entries.contains_key(&request.object) {
             if self.lru.access(request.object, request.size) {
                 self.win_lru_hit_bytes += request.size;
             }
@@ -655,7 +625,7 @@ impl Guardrail {
         // LRU-forced windows), never weaken the bound.
         debug_assert!(priority >= 0.0, "priorities must stay nonnegative");
         if self.mode == GuardrailMode::LruForced {
-            if cleared || self.learned.entries.contains_key(&request.object) {
+            if past_doorkeeper || self.learned.entries.contains_key(&request.object) {
                 if self
                     .learned
                     .access(request.object, request.size, priority.to_bits(), admit)
@@ -1012,7 +982,6 @@ mod tests {
     #[test]
     fn doorkeeper_borrowing_skips_unseen_objects_and_counts_savings() {
         let mut guard = Guardrail::new(full_sampling(u64::MAX), 10_000);
-        guard.set_borrow_doorkeeper(true);
         // First sighting: not past the doorkeeper — the ghost LRU must not
         // mint an entry, only count the avoided insert.
         guard.record_shadowed(&req(0, 1, 100), 0.5, true, false, false);
@@ -1033,14 +1002,18 @@ mod tests {
 
     #[test]
     fn record_without_borrowing_ignores_doorkeeper_evidence() {
-        let mut guard = Guardrail::new(full_sampling(u64::MAX), 10_000);
-        guard.record_shadowed(&req(0, 1, 100), 0.5, true, false, false);
-        assert!(
-            guard.lru.entries.contains_key(&ObjectId(1)),
-            "without set_borrow_doorkeeper the evidence bit is inert"
-        );
-        assert_eq!(guard.snapshot().doorkeeper_skips, 0);
-        assert_eq!(guard.snapshot().doorkeeper_saved_bytes, 0);
+        use cdn_cache::cache::CachePolicy;
+        // An unbounded tracker has no doorkeeper to lend, so its cache
+        // reports every request as past it: one-hit wonders still enter
+        // the ghost LRU.
+        let mut cache = crate::LfoCache::new(10_000, crate::LfoConfig::default());
+        cache.enable_guardrail(full_sampling(u64::MAX));
+        for id in 0..50u64 {
+            cache.handle(&req(id, id, 100));
+        }
+        let snap = cache.guardrail().expect("guardrail attached");
+        assert_eq!(snap.doorkeeper_skips, 0);
+        assert_eq!(snap.doorkeeper_saved_bytes, 0);
     }
 
     #[test]
@@ -1052,7 +1025,6 @@ mod tests {
             ..GuardrailConfig::default()
         };
         let mut guard = Guardrail::new(cfg, 10_000);
-        guard.set_borrow_doorkeeper(true);
         guard.record_shadowed(&req(0, 1, 100), 0.5, true, false, false);
         // While LruForced the learned ghost is fed too, so one unseen miss
         // avoids an insert in both ghosts.

@@ -81,6 +81,18 @@ pub mod shard;
 pub mod sketchpool;
 pub mod train;
 
+/// SplitMix64 finalizer (Steele et al.): the crate's one 64-bit mixer.
+/// Shard routing, doorkeeper buckets, guardrail sampling, sample-K walks
+/// and fault schedules all hash through it. Full avalanche, so
+/// consecutive ids spread uniformly.
+#[inline]
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 pub use config::{CutoffMode, EvictionStrategy, LfoConfig, PolicyDesign, RetrainConfig};
 pub use drift::{DriftError, DriftVerdict, FeatureSketch};
 pub use faults::{FaultKind, FaultPlan, FaultPoint};

@@ -33,14 +33,7 @@ use crate::config::{EvictionStrategy, LfoConfig, PolicyDesign};
 use crate::features::FeatureTracker;
 use crate::guardrail::{Guardrail, GuardrailConfig, GuardrailSnapshot};
 use crate::sketchpool::SharedDoorkeeper;
-
-/// The repo's standard 64-bit mixer (same constants as `lfo::shard`).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use crate::splitmix64;
 
 /// Index of the free-bytes feature in the tracker's row layout
 /// (`[size, cost, free, gap_1..]`) — the feature shard invariants prune
@@ -575,17 +568,15 @@ impl LfoCache {
     }
 
     /// Joins a fleet-shared doorkeeper pool (DESIGN.md §16): the feature
-    /// tracker is rebuilt in shared mode, reading and CAS-advancing one
-    /// fleet-wide sketch and parking promoted objects on this member's
-    /// stripe of the shared GCLOCK ring, instead of minting a private
-    /// sketch + ring per cache — fleet doorkeeper metadata scales with the
-    /// budget, not budget × shards, and shards share first-sighting
-    /// evidence. With one stripe the shared tracker is decision-identical
-    /// to the private bounded tracker (proptest-enforced in
-    /// `tests/bounded_state.rs`). An attached guardrail borrows the same
-    /// doorkeeper, so its ghosts stop minting entries for objects the
-    /// doorkeeper has not cleared. Like [`Self::join_pool`], call before
-    /// serving — the rebuilt tracker starts empty.
+    /// tracker is rebuilt on stripe `stripe` of `pool`, reading and
+    /// CAS-advancing one fleet-wide sketch and parking promoted objects on
+    /// its stripe of the shared GCLOCK ring, in place of the 1-stripe pool
+    /// it owned — fleet doorkeeper metadata scales with the budget, not
+    /// budget × shards, and shards share first-sighting evidence. A
+    /// 1-stripe fleet pool makes the same decisions as the owned one
+    /// (proptest-enforced in `tests/bounded_state.rs`). Like
+    /// [`Self::join_pool`], call before serving — the rebuilt tracker
+    /// starts empty.
     pub fn join_sketch_pool(&mut self, pool: Arc<SharedDoorkeeper>, stripe: usize) {
         debug_assert_eq!(self.tick, 0, "join_sketch_pool before serving");
         self.tracker = FeatureTracker::with_shared_pool(
@@ -594,9 +585,6 @@ impl LfoCache {
             pool,
             stripe,
         );
-        if let Some(guard) = self.guardrail.as_mut() {
-            guard.set_borrow_doorkeeper(true);
-        }
     }
 
     /// Whether admitting `incoming` bytes would exceed the byte budget —
@@ -866,19 +854,17 @@ impl LfoCache {
     /// A cache evicting by sample-K passes that K to its learned ghost
     /// (unless the config pins one explicitly), so probation is judged
     /// under the eviction discipline this cache actually serves with.
+    ///
+    /// A cache with a bounded tracker lends its doorkeeper to the
+    /// guardrail, whether the doorkeeper is owned or a fleet pool's: the
+    /// ghosts skip inserts for objects it has not cleared.
     pub fn enable_guardrail_scoped(&mut self, mut config: GuardrailConfig, shadow_capacity: u64) {
         if config.ghost_sample_k.is_none() {
             if let EvictionStrategy::SampleK { k, .. } = self.config.eviction_strategy() {
                 config.ghost_sample_k = Some(u32::try_from(k).unwrap_or(u32::MAX));
             }
         }
-        let mut guard = Guardrail::new(config, shadow_capacity);
-        // A cache on a shared doorkeeper lends it to the guardrail too
-        // (the other attachment order is handled by `join_sketch_pool`).
-        if self.tracker.shared_pool().is_some() {
-            guard.set_borrow_doorkeeper(true);
-        }
-        self.guardrail = Some(guard);
+        self.guardrail = Some(Guardrail::new(config, shadow_capacity));
     }
 
     /// Snapshot of the attached guardrail's state, or `None` when no
@@ -1063,15 +1049,12 @@ impl CachePolicy for LfoCache {
             let priority = self.eviction_priority(likelihood, request.size);
             // `record` above already ran, so exact history exists iff the
             // doorkeeper has cleared this object (first sightings live only
-            // in the sketch) — the evidence a borrowing guardrail filters
-            // its ghost inserts on. Non-borrowing guardrails skip the
-            // history lookup entirely: it is ignored evidence, and the
-            // per-request probe costs real benign throughput.
-            let past_doorkeeper = !self
-                .guardrail
-                .as_ref()
-                .is_some_and(Guardrail::borrows_doorkeeper)
-                || self.tracker.is_tracked(request.object);
+            // in the sketch) — the evidence the guardrail filters its ghost
+            // inserts on. An unbounded tracker has no doorkeeper and skips
+            // the history lookup: the per-request probe costs real benign
+            // throughput.
+            let past_doorkeeper =
+                !self.tracker.budget().is_bounded() || self.tracker.is_tracked(request.object);
             if let Some(guard) = self.guardrail.as_mut() {
                 guard.record_shadowed(
                     request,

@@ -44,16 +44,7 @@ use crate::config::LfoConfig;
 use crate::guardrail::{GuardrailConfig, GuardrailSnapshot};
 use crate::policy::{LfoCache, ModelSlot, SharedOccupancy};
 use crate::sketchpool::SharedDoorkeeper;
-
-/// Finalizing mixer of splitmix64 (Steele et al.): full-avalanche, so
-/// consecutive object ids spread uniformly across shards.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15); // golden-ratio increment
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use crate::splitmix64;
 
 /// The shard an object routes to: deterministic, stable across runs and
 /// platforms. Uses the multiply-shift range reduction (`(hash × n) >> 64`)
@@ -169,8 +160,8 @@ pub struct CacheMetrics {
     /// same basis the shadow LRU is measured on.
     pub shadow_realized_hit_bytes: u64,
     /// Sampled requests whose guardrail ghost inserts were skipped because
-    /// the object had not cleared the shared doorkeeper (0 unless the
-    /// ghosts borrow a shared sketch pool).
+    /// the object had not cleared the doorkeeper (0 unless the tracker is
+    /// bounded).
     pub shadow_doorkeeper_skips: u64,
     /// Estimated ghost bookkeeping bytes those skips avoided.
     pub shadow_doorkeeper_saved_bytes: u64,
@@ -792,6 +783,56 @@ mod tests {
         assert!(sharded.sketch_pool().is_none());
         let report = sharded.finish();
         assert!(report.shards.iter().all(|s| s.shared_sketch_bytes == 0));
+    }
+
+    #[test]
+    fn bounded_metadata_accounting_is_pinned_per_fleet_setup() {
+        use crate::features::TrackerBudget;
+        // A sketch large enough that the 90 ids never share a bucket: the
+        // pooled fleet's promotions then cannot depend on how the two
+        // shards interleave, and no evictions keep the index exact.
+        let budget = TrackerBudget {
+            max_objects: 64,
+            sketch_bits: 18,
+            ..TrackerBudget::default()
+        };
+        let probe = SharedDoorkeeper::new(budget, 1);
+        let buckets: std::collections::HashSet<usize> =
+            (0..90u64).map(|id| probe.bucket(ObjectId(id))).collect();
+        assert_eq!(buckets.len(), 90);
+        let config = LfoConfig {
+            tracker_budget: Some(budget),
+            ..LfoConfig::default()
+        };
+        let trace: Vec<Request> = (0..600u64).map(|i| req(i, i % 90, 60)).collect();
+        let replay = |params: ShardParams| {
+            let mut sharded =
+                ShardedLfoCache::with_params(1_000_000, config.clone(), params, ModelSlot::new());
+            for r in &trace {
+                sharded.handle(r);
+            }
+            sharded.finish().metadata_bytes()
+        };
+        let two = ShardParams::with_shards(2);
+        // Pooled: one fleet sketch, counted once.
+        assert_eq!(replay(two), 1_061_680);
+        // Per-shard sketches: each shard owns one, and each is counted.
+        let per_shard = ShardParams {
+            shared_sketch: false,
+            ..two
+        };
+        assert_eq!(replay(per_shard), 2_115_722);
+        let partitioned = ShardParams {
+            mode: ShardMode::Partitioned,
+            ..two
+        };
+        assert_eq!(replay(partitioned), 2_115_722);
+        // An unsharded bounded tracker counts its own sketch.
+        let mut tracker = config.tracker();
+        for r in &trace {
+            tracker.record(r);
+        }
+        assert_eq!(tracker.approximate_bytes(), 1_053_760);
     }
 
     #[test]

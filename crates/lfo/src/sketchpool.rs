@@ -1,17 +1,20 @@
-//! Fleet-shared, lock-free doorkeeper state (DESIGN.md §16).
+//! The doorkeeper sketch and GCLOCK ring behind every bounded tracker
+//! (DESIGN.md §14, §16).
 //!
-//! PR 8's [`crate::TrackerBudget`] bounds one cache's tracker with a
-//! doorkeeper sketch and a GCLOCK ring — but a pooled
-//! [`crate::ShardedLfoCache`] fleet instantiates that state *per shard*,
-//! so fleet metadata scales with budget × shards and shards never share
-//! first-sighting evidence: the same one-hit-wonder tail is re-probed N
-//! times. [`SharedDoorkeeper`] is the fleet-wide replacement:
+//! A [`crate::TrackerBudget`] bounds a tracker with a doorkeeper sketch
+//! and a GCLOCK ring over its exact histories. [`SharedDoorkeeper`] is
+//! that state, built to be shared: a bounded
+//! [`crate::FeatureTracker`] owns a 1-stripe pool, and a pooled
+//! [`crate::ShardedLfoCache`] fleet lends one pool to all its shards, so
+//! fleet metadata scales with the budget rather than budget × shards and
+//! shards share first-sighting evidence instead of re-probing the same
+//! one-hit-wonder tail N times.
 //!
 //! - **One sketch for the whole fleet.** A flat power-of-two array of
 //!   `AtomicU32` saturated last-access slots, updated by relaxed
 //!   compare-and-swap that only ever advances a slot's time (first
 //!   sighting writes the sketch, second sighting promotes into the
-//!   shard-local exact tracker — exactly the PR 8 protocol, shared).
+//!   shard-local exact tracker).
 //!   A slot write is wait-free in practice: one CAS, retried only when
 //!   another shard raced the same slot in the same instant.
 //! - **A striped GCLOCK recycling ring.** The pool's `max_objects`
@@ -20,10 +23,9 @@
 //!   serialize the fleet; reference counters are atomics, so the hit
 //!   path never takes a lock at all.
 //!
-//! With one stripe the pool reproduces the private bounded tracker's
-//! decisions bit for bit (proptest-enforced in `tests/bounded_state.rs`);
-//! the single-owner [`crate::FeatureTracker`] path does not touch this
-//! module at all.
+//! A 1-shard fleet borrowing a 1-stripe pool makes the same decisions as
+//! an unsharded cache on the same budget (proptest-enforced in
+//! `tests/bounded_state.rs`).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -32,25 +34,23 @@ use cdn_trace::ObjectId;
 use serde::Serialize;
 
 use crate::features::TrackerBudget;
+use crate::splitmix64;
 
-/// Sketch slot sentinel: no object hashing here has been seen. Same value
-/// as the private tracker's sentinel (`u32::MAX`), and numerically above
-/// every saturated time, so the advance-only CAS special-cases it.
+/// Sketch slot sentinel: no object hashing here has been seen. It is
+/// `u32::MAX`, numerically above every saturated time, so the
+/// advance-only CAS special-cases it.
 pub const EMPTY_SLOT: u32 = u32::MAX;
 
-/// Saturation ceiling for GCLOCK reference counters (same constant as the
-/// private ring in `lfo::features`).
+/// Saturation ceiling for GCLOCK reference counters: a hot object
+/// survives at most this many hand sweeps without a fresh sighting. A
+/// plain 1-bit CLOCK forgets how hot an object is the moment the hand
+/// clears its bit; under a flood of tail-object promotions the hand laps
+/// the ring fast and mid-popularity histories get recycled between their
+/// sightings.
 const CLOCK_MAX_COUNT: u8 = 3;
 
-/// The repo's standard 64-bit mixer (same constants as `lfo::features`,
-/// so a shared pool built from a budget hashes objects to the same
-/// buckets as a private tracker built from that budget).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// Ring bytes per slot: the parked object id plus its counter byte.
+const RING_SLOT_BYTES: usize = std::mem::size_of::<ObjectId>() + 1;
 
 /// Contention and traffic counters for a [`SharedDoorkeeper`], snapshot
 /// by the `repro concurrency` benchmark.
@@ -90,7 +90,7 @@ struct Stripe {
 }
 
 /// What a stripe promotion did, so the calling tracker can mirror the
-/// private GCLOCK bookkeeping on its own history map.
+/// GCLOCK bookkeeping on its own history map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StripeSlot {
     /// Global slot index now owned by the promoted object.
@@ -100,9 +100,9 @@ pub struct StripeSlot {
     pub evicted: Option<ObjectId>,
 }
 
-/// A fleet-shared doorkeeper: one lock-free sketch plus a striped GCLOCK
-/// ring, borrowed by every shard-local tracker (and the guardrail's
-/// ghost structures) in a pooled fleet.
+/// A doorkeeper: one lock-free sketch plus a striped GCLOCK ring. A
+/// bounded tracker owns a 1-stripe pool; in a pooled fleet every
+/// shard-local tracker borrows a stripe of one shared pool.
 pub struct SharedDoorkeeper {
     /// The pool-wide budget (sketch sizing, ring capacity, slot seed).
     budget: TrackerBudget,
@@ -130,10 +130,9 @@ impl std::fmt::Debug for SharedDoorkeeper {
 
 impl SharedDoorkeeper {
     /// Builds a pool for `budget` split into `stripes` ring stripes (one
-    /// per shard). The sketch is sized exactly as a private tracker's
-    /// would be for the same budget — same slot count, same seed, same
-    /// bucket hash — which is what makes a 1-stripe pool decision-
-    /// identical to a private [`crate::TrackerBudget`] tracker.
+    /// per shard). The sketch has [`TrackerBudget`]'s slot count and is
+    /// bucketed by its seed, so every pool built from one budget hashes
+    /// objects alike whatever its stripe count.
     ///
     /// # Panics
     ///
@@ -197,14 +196,19 @@ impl SharedDoorkeeper {
     }
 
     /// Approximate ring bytes attributable to stripe `stripe` (object id
-    /// plus counter byte per slot, matching the private ring's 9 B/slot
-    /// accounting).
+    /// plus counter byte per slot, 9 B/slot).
     pub fn stripe_ring_bytes(&self, stripe: usize) -> usize {
-        self.stripes[stripe].capacity * (std::mem::size_of::<ObjectId>() + 1)
+        self.stripes[stripe].capacity * RING_SLOT_BYTES
     }
 
-    /// The sketch slot for `object` — same hash as a private tracker
-    /// built from the same budget.
+    /// Ring bytes of the slots stripe `stripe` has parked objects on so
+    /// far (at most [`Self::stripe_ring_bytes`]).
+    pub(crate) fn stripe_parked_bytes(&self, stripe: usize) -> usize {
+        self.lock_stripe(&self.stripes[stripe]).objects.len() * RING_SLOT_BYTES
+    }
+
+    /// The sketch slot for `object`: `splitmix64(seed ^ id)` masked to
+    /// the slot count.
     pub fn bucket(&self, object: ObjectId) -> usize {
         (splitmix64(self.budget.seed ^ object.0) as usize) & (self.slots.len() - 1)
     }
@@ -218,8 +222,7 @@ impl SharedDoorkeeper {
     /// it: a slot already at a later time is left untouched (another
     /// shard got there first). Returns the prior value — [`EMPTY_SLOT`]
     /// for a first sighting, the previous last-access time otherwise —
-    /// which is the caller's promotion trigger, exactly as in the
-    /// private PR 8 protocol.
+    /// which is the caller's promotion trigger.
     pub fn update_slot(&self, bucket: usize, time: u64) -> u32 {
         let new = Self::sketch_time(time);
         let slot = &self.slots[bucket];
@@ -244,9 +247,9 @@ impl SharedDoorkeeper {
         }
     }
 
-    /// Bumps the GCLOCK counter of global `slot` (saturating at the same
-    /// ceiling as the private ring). Lock-free: the tracked-object hit
-    /// path calls this on every sighting.
+    /// Bumps the GCLOCK counter of global `slot` (saturating at
+    /// `CLOCK_MAX_COUNT`). Lock-free: the tracked-object hit path calls
+    /// this on every sighting.
     pub fn reference(&self, slot: usize) {
         let count = &self.counts[slot];
         let mut cur = count.load(Ordering::Relaxed);
@@ -273,10 +276,13 @@ impl SharedDoorkeeper {
     /// ring for a victim when the stripe is full. `is_live(owner, slot)`
     /// answers whether `owner`'s exact history still maps to global
     /// `slot` (the caller's staleness check — the pool never sees the
-    /// history map). Mirrors the private `promote` + `clock_evict` pair:
-    /// stale slots are taken immediately, nonzero counters are
-    /// decremented and given another lap, and the first zero-count live
-    /// owner is recycled and returned for the caller to forget.
+    /// history map). Stale slots are taken immediately, nonzero counters
+    /// are decremented and given another lap, and the first zero-count
+    /// live owner is recycled and returned for the caller to forget. A
+    /// new slot starts at count zero: promotion is a bet, not a
+    /// reference, so an object idle since its promoting sighting loses
+    /// the ring to one that kept getting hits. Amortized O(1); at most
+    /// `CLOCK_MAX_COUNT + 1` laps even when every resident is saturated.
     pub fn stripe_promote(
         &self,
         stripe: usize,
@@ -368,8 +374,9 @@ impl SharedDoorkeeper {
         }
     }
 
-    /// Saturates a request time into a sketch slot (same ceiling as the
-    /// private tracker's `sketch_time`).
+    /// Saturates a request time into a sketch slot. Traces past
+    /// `u32::MAX` requests pin to the ceiling: coarse gaps flatten there,
+    /// exact histories (always full `u64`) are unaffected.
     fn sketch_time(time: u64) -> u32 {
         time.min(u64::from(u32::MAX - 1)) as u32
     }
@@ -414,7 +421,7 @@ mod tests {
         let caps: Vec<usize> = (0..4).map(|i| pool.stripe_capacity(i)).collect();
         assert_eq!(caps, vec![3, 3, 2, 2]);
         assert_eq!(caps.iter().sum::<usize>(), 10);
-        // Ring bytes mirror the private 9 B/slot accounting.
+        // Ring bytes: 9 B/slot (object id + counter byte).
         assert_eq!(pool.stripe_ring_bytes(0), 3 * 9);
     }
 
@@ -465,7 +472,7 @@ mod tests {
         }
         // Ten references saturate at CLOCK_MAX_COUNT, so a single-slot
         // sweep burns through at most that many laps before recycling —
-        // the same bounded-sweep guarantee as the private ring.
+        // the bounded-sweep guarantee.
         let s = pool.stripe_promote(0, ObjectId(2), |o, _| o == ObjectId(1));
         assert_eq!(s.evicted, Some(ObjectId(1)));
         assert_eq!(s.slot, 0);

@@ -11,6 +11,8 @@
 //!   collision-free sketch) must emit bit-identical feature rows to the
 //!   unbounded exact tracker for every request, across arbitrary sketch
 //!   seeds;
+//! - **a 1-stripe fleet doorkeeper** must make the same decisions as the
+//!   1-stripe pool a bounded cache owns, guardrail included;
 //! - **sampled eviction at any K** never violates the byte capacity.
 
 use std::collections::{HashMap, HashSet};
@@ -19,18 +21,11 @@ use std::sync::{Arc, OnceLock};
 use cdn_cache::cache::CachePolicy;
 use cdn_trace::{CostModel, ObjectId, Request};
 use gbdt::Model;
-use lfo::{EvictionStrategy, FeatureTracker, LfoCache, LfoConfig, SharedDoorkeeper, TrackerBudget};
+use lfo::{
+    EvictionStrategy, FeatureTracker, GuardrailConfig, LfoCache, LfoConfig, SharedDoorkeeper,
+    TrackerBudget,
+};
 use proptest::prelude::*;
-
-/// The repo's standard 64-bit mixer — local copy, same constants as
-/// `lfo::features`, used to predict sketch buckets for collision
-/// filtering.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A model over the default 53-feature layout that prefers small objects
 /// (same recipe as the policy unit tests and `guardrail_runtime.rs`).
@@ -114,13 +109,15 @@ proptest! {
         // Bit-identity requires collision-free sketch buckets: a shared
         // slot deliberately promotes early and coarsens gap_1, which is
         // bounded-tracker behavior, not a bug. With 2^20 slots and ≤40
-        // ids a collision is a ~0.1% seed, skipped here.
-        let slots = 1usize << budget.sketch_bits;
+        // ids a collision is a ~0.1% seed, skipped here. Buckets are
+        // predicted by a pool built from the same budget, so the filter
+        // hashes exactly as the tracker under test does.
+        let probe = SharedDoorkeeper::new(budget, 1);
         let mut buckets = HashSet::new();
         let distinct: HashSet<u64> = reqs.iter().map(|r| r.object.0).collect();
         if distinct
             .iter()
-            .any(|id| !buckets.insert(splitmix64(budget.seed ^ id) as usize & (slots - 1)))
+            .any(|&id| !buckets.insert(probe.bucket(ObjectId(id))))
         {
             return;
         }
@@ -142,14 +139,17 @@ proptest! {
         max_objects in 1usize..64,
         sketch_bits in 4u32..12,
         cache in 50u64..2_000,
-        with_model in (0u8..2).prop_map(|b| b == 1),
+        (with_model, with_guardrail) in (
+            (0u8..2).prop_map(|b| b == 1),
+            (0u8..2).prop_map(|b| b == 1),
+        ),
     ) {
-        // A 1-stripe fleet pool replicates the private doorkeeper protocol
-        // exactly — same bucket hash, same CAS-free slot semantics, same
-        // GCLOCK sweep — so a single cache borrowing the pool must make
-        // identical decisions to one owning a private `TrackerBudget`.
-        // Collisions are *included* here (tiny sketches are in range):
-        // both sides hash with the same seed, so they collide identically.
+        // A cache on a bounded `TrackerBudget` owns a 1-stripe pool, so a
+        // single cache borrowing a 1-stripe fleet pool must make identical
+        // decisions — and, with a guardrail attached, lend it the same
+        // doorkeeper evidence. Collisions are *included* here (tiny
+        // sketches are in range): both sides hash with the same seed, so
+        // they collide identically.
         let budget = TrackerBudget { max_objects, sketch_bits, seed };
         let config = LfoConfig {
             tracker_budget: Some(budget),
@@ -162,9 +162,14 @@ proptest! {
             private.install_model(small_object_model());
             pooled.install_model(small_object_model());
         }
+        if with_guardrail {
+            private.enable_guardrail(GuardrailConfig::default());
+            pooled.enable_guardrail(GuardrailConfig::default());
+        }
         for r in &reqs {
             prop_assert_eq!(private.handle(r), pooled.handle(r));
         }
+        prop_assert_eq!(private.guardrail(), pooled.guardrail());
         prop_assert_eq!(private.used(), pooled.used());
         prop_assert_eq!(private.len(), pooled.len());
         prop_assert_eq!(private.evictions, pooled.evictions);

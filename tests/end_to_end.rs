@@ -2,15 +2,28 @@
 //! policy zoo, and the LFO pipeline — hangs together on one realistic
 //! trace, and the paper's qualitative orderings hold.
 
+use std::sync::OnceLock;
+
 use lfo_suite::prelude::*;
 
 use cdn_cache::policies::{by_name, opt_replay::OptReplay};
 use opt::bounds::infinite_cache_bound;
+use opt::OptResult;
 
 fn standard_trace() -> (Trace, u64) {
     let trace = TraceGenerator::new(GeneratorConfig::production(4242, 40_000)).generate();
     let cache = TraceStats::from_trace(&trace).cache_size_for_fraction(0.10);
     (trace, cache)
+}
+
+/// OPT over `standard_trace()` at its 10% cache, solved once per test
+/// binary: three tests assert against the identical flow solution.
+fn standard_opt() -> &'static OptResult {
+    static OPT: OnceLock<OptResult> = OnceLock::new();
+    OPT.get_or_init(|| {
+        let (trace, cache) = standard_trace();
+        compute_opt(trace.requests(), &OptConfig::bhr(cache)).unwrap()
+    })
 }
 
 #[test]
@@ -49,7 +62,7 @@ fn every_policy_stays_between_zero_and_the_infinite_cache_bound() {
 #[test]
 fn opt_dominates_every_online_policy_in_byte_hits() {
     let (trace, cache) = standard_trace();
-    let opt = compute_opt(trace.requests(), &OptConfig::bhr(cache)).unwrap();
+    let opt = standard_opt();
     for name in ["LRU", "GDSF", "S4LRU", "LHD", "LFUDA"] {
         let mut policy = by_name(name, cache, 7).expect("known policy");
         let r = simulate(policy.as_mut(), trace.requests(), &SimConfig::default());
@@ -65,7 +78,7 @@ fn opt_dominates_every_online_policy_in_byte_hits() {
 #[test]
 fn opt_replay_agrees_with_the_flow_solution() {
     let (trace, cache) = standard_trace();
-    let opt = compute_opt(trace.requests(), &OptConfig::bhr(cache)).unwrap();
+    let opt = standard_opt();
     let mut replay = OptReplay::new(cache, opt.admit.clone());
     let sim = simulate(&mut replay, trace.requests(), &SimConfig::default());
     assert_eq!(sim.measured.hits, opt.hits as u64);
@@ -96,7 +109,7 @@ fn lfo_pipeline_beats_lru_and_stays_below_opt() {
     let mut lru = by_name("LRU", cache, 0).unwrap();
     let lru_result = simulate(lru.as_mut(), trace.requests(), &warmed);
 
-    let opt = compute_opt(trace.requests(), &OptConfig::bhr(cache)).unwrap();
+    let opt = standard_opt();
 
     let lfo_bhr = report.live_trained.bhr();
     assert!(
