@@ -53,10 +53,6 @@ impl Gates {
 pub struct TrainEval {
     /// The trained model.
     pub model: Model,
-    /// The window-A training set the model was fit on (kept so callers can
-    /// fit a [`gbdt::BinMap`] on exactly the training distribution — the
-    /// grid that makes quantized serving bit-equal to the flat walk).
-    pub train_data: Dataset,
     /// Predicted probabilities on window B.
     pub probs: Vec<f64>,
     /// OPT labels of window B.
@@ -100,7 +96,6 @@ pub fn train_and_eval(
         .collect();
     TrainEval {
         model,
-        train_data: data_a,
         probs,
         labels: data_b.labels().to_vec(),
     }

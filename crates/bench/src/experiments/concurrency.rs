@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use cdn_trace::{GeneratorConfig, Request, TraceGenerator, TraceStats};
-use gbdt::{BinMap, GbdtParams};
+use gbdt::GbdtParams;
 use lfo::labels::build_training_set;
 use lfo::{
     EvictionStrategy, GuardrailConfig, LfoArtifact, LfoConfig, Provenance, ShardParams,
@@ -124,9 +124,8 @@ pub fn run(ctx: &Context) -> std::io::Result<()> {
     );
 
     // One bounded-tracker model serves every cell: trained on the features
-    // the bounded tracker actually emits (the `repro memory` protocol),
-    // published with its frozen grid so every fleet scores through the
-    // quantized engine.
+    // the bounded tracker actually emits (the `repro memory` protocol);
+    // every fleet scores it through the quantized+pruned engine.
     let config = LfoConfig {
         tracker_budget: Some(TrackerBudget::capped(budget)),
         eviction: Some(EvictionStrategy::sample(SAMPLE_K)),
@@ -143,7 +142,6 @@ pub fn run(ctx: &Context) -> std::io::Result<()> {
         .map(|r| model.predict_proba(&data.row(r)))
         .collect();
     let cutoff = lfo::equalize_cutoff(&probs, data.labels());
-    let map = BinMap::fit(&data, params.max_bins);
     let artifact = LfoArtifact::new(
         config,
         model,
@@ -156,8 +154,7 @@ pub fn run(ctx: &Context) -> std::io::Result<()> {
             lineage: None,
             pop: None,
         },
-    )
-    .with_bin_map(Some(map));
+    );
 
     let shard_counts: &[usize] = ctx.scale.pick3(&[1, 2], &[1, 2, 4], &[1, 2, 4, 8]);
     // The acceptance gates are phrased at 4 shards; smoke sweeps stop at 2

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use cdn_cache::cache::{CachePolicy, RequestOutcome};
 use cdn_trace::{GeneratorConfig, Request, TraceGenerator, TraceStats};
-use gbdt::{BinMap, GbdtParams};
+use gbdt::GbdtParams;
 use lfo::labels::build_training_set;
 use lfo::{
     EvictionStrategy, LfoArtifact, LfoCache, LfoConfig, ModelSlot, Provenance, TrackerBudget,
@@ -126,8 +126,8 @@ pub fn run(ctx: &Context) -> std::io::Result<()> {
     // for unpromoted objects). Serving bounded features to an
     // exact-trained model is a distribution shift that wrecks admission —
     // the model leans on deep gaps the bounded tracker no longer has.
-    // Models publish with their frozen bin map so every replay scores
-    // through the quantized engine, same kernel as `repro serve`.
+    // Every replay scores through the quantized+pruned engine, same
+    // kernel as `repro serve`.
     let w = ctx.window().min(reqs.len() / 2);
     let params = GbdtParams::lfo_paper();
     let opt_a = compute_opt(&reqs[..w], &OptConfig::bhr(cache_size)).expect("first-window OPT");
@@ -144,7 +144,6 @@ pub fn run(ctx: &Context) -> std::io::Result<()> {
             .map(|r| model.predict_proba(&data.row(r)))
             .collect();
         let cutoff = lfo::train::equalize_cutoff(&probs, data.labels());
-        let map = BinMap::fit(&data, params.max_bins);
         let artifact = LfoArtifact::new(
             config.clone(),
             model,
@@ -157,8 +156,7 @@ pub fn run(ctx: &Context) -> std::io::Result<()> {
                 lineage: None,
                 pop: None,
             },
-        )
-        .with_bin_map(Some(map));
+        );
         let slot = ModelSlot::new();
         artifact.publish_to(&slot);
         slot

@@ -233,13 +233,6 @@ impl BinMap {
         self.upper_bounds[f][b]
     }
 
-    /// All upper bounds of feature `f`, sorted ascending with the trailing
-    /// `f32::INFINITY` sentinel. Crate-visible for the quantized compiler,
-    /// which snaps split thresholds onto this grid.
-    pub(crate) fn bounds(&self, f: usize) -> &[f32] {
-        &self.upper_bounds[f]
-    }
-
     /// Bin index of value `v` under feature `f`'s boundaries: the first
     /// bin whose upper bound is `>= v` (values beyond the fitted range
     /// land in the top bin, whose bound is infinite).

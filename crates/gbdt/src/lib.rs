@@ -20,10 +20,11 @@
 //! - **flat SoA serving layout** ([`flat`]) — the per-tree node arenas
 //!   flattened into contiguous arrays at model-publish time, with a batched
 //!   per-tree-walk scorer, bit-equal to the recursive path;
-//! - **quantized integer-compare serving** ([`quantized`]) — thresholds
-//!   snapped to u16 bin cuts against the frozen [`BinMap`], nodes packed
-//!   one-per-u64 with a block-interleaved fixed-depth kernel, plus
-//!   predicate pruning of branches the serving shard can prove dead;
+//! - **quantized integer-compare serving** ([`quantized`]) — each split
+//!   threshold becomes a u16 cut into the model's own per-feature
+//!   threshold grid (bit-equal to the flat walk), nodes packed one-per-u64
+//!   with a block-interleaved fixed-depth kernel, plus predicate pruning
+//!   of branches the serving shard can prove dead;
 //! - **one batched scoring entry point** ([`score`]) — every engine
 //!   (recursive / flat / quantized / quantized+pruned) packs rows once and
 //!   scores through the same ranged call;

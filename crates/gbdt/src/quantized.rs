@@ -1,16 +1,18 @@
-//! Quantized integer-compare inference — the serving end of the
+//! Quantized integer-compare inference — the one serving engine of the
 //! compile-at-publish pipeline (DESIGN.md §12).
 //!
 //! [`FlatModel`] walks nodes by comparing raw `f32` feature values against
 //! `f32` thresholds, one dependent load per level: the fig. 7 benchmark
 //! shows that walk is latency-bound at roughly the same preds/s no matter
 //! the thread count. A [`QuantizedModel`] is compiled once at model-publish
-//! time from the flat layout plus the frozen training [`BinMap`]:
+//! time from the flat layout alone:
 //!
-//! - every split threshold is snapped onto the bin grid and replaced by a
-//!   **u16 cut index**; rows are pre-encoded once into u16 bin indices by a
-//!   reusable scratch encoder ([`QuantizedModel::encode_row_into`]), so the
-//!   walk compares integers against integers;
+//! - each feature's encoding grid is the sorted set of that feature's
+//!   distinct split thresholds, and every split threshold is replaced by a
+//!   **u16 cut index** into it; rows are pre-encoded once into u16 bin
+//!   indices by a reusable scratch encoder
+//!   ([`QuantizedModel::encode_row_into`]), so the walk compares integers
+//!   against integers;
 //! - each node packs `(feature, cut, left-child)` into one `u64` — eight
 //!   nodes per cache line — with sibling children adjacent
 //!   (`right = left + 1`), so descending is the branchless
@@ -34,31 +36,23 @@
 //!   the free-bytes feature never exceeds pool capacity), deleting branches
 //!   no reachable row can take before the model is handed to the shard.
 //!
-//! ## The boundary-delta contract
+//! ## Exactness
 //!
-//! A split `v <= t` becomes `bin(v) < cut`, where `cut` counts grid bounds
-//! `<= t`; the identity `bin(v) < cut  ⟺  v <= snap(t)` (with `snap(t)` the
-//! largest grid bound `<= t`) makes the two predicates **identical whenever
-//! `t` is itself a grid bound**. That always holds when the model was
-//! trained on the same grid, because training thresholds *are* bin upper
-//! bounds — so quantized scores are bit-equal to the flat walk, and
-//! [`QuantizedModel::is_exact`] reports `true`. Against a mismatched grid
-//! the predicates disagree only for values inside the half-open window
-//! `(snap(t), t]`, which lies within a single bin — a quantized decision
-//! can differ from the exact one by at most one bin boundary per split.
-//! [`QuantizedModel::quantization_agrees`] checks whether a concrete row
-//! avoids every such window (sufficient for bit-equality).
+//! A split `v <= t` becomes `bin(v) < cut`, where `bin(v)` counts grid
+//! values `< v` and `cut` counts grid values `<= t`. Because `t` is itself
+//! on the grid, `bin(v) < cut ⟺ v <= t` for every `v`: every compare, and
+//! so every score, is bit-equal to the flat walk for every model and every
+//! row.
 //!
 //! Missing features (short rows) encode as [`MISSING_BIN`], which no cut
 //! exceeds, so they take the right branch exactly like the recursive and
-//! flat walks; `+inf` padding encodes past every finite bound and behaves
-//! the same way. `NaN` also maps to [`MISSING_BIN`] (the raw walks send
-//! NaN right because `NaN <= t` is false).
+//! flat walks; `+inf` padding encodes past every finite threshold and
+//! behaves the same way. `NaN` also maps to [`MISSING_BIN`] (the raw walks
+//! send NaN right because `NaN <= t` is false).
 
 use std::collections::VecDeque;
 
 use crate::boosting::{sigmoid, Model};
-use crate::dataset::BinMap;
 use crate::flat::{FlatModel, LEAF};
 
 /// Bin index used for missing (or NaN) feature values in encoded rows.
@@ -93,16 +87,14 @@ impl Predicate {
 
 /// A trained ensemble compiled for integer-compare serving (see the module
 /// docs). Built once at model-publish time via [`QuantizedModel::compile`];
-/// never persisted — artifacts store the model plus the [`BinMap`], and the
-/// loader recompiles.
+/// never persisted — artifacts store the model, and the loader recompiles.
 #[derive(Clone, Debug)]
 pub struct QuantizedModel {
     init_score: f64,
     num_features: usize,
-    /// Reduced per-feature encoding grid: only the grid bounds actually
-    /// used by this model's splits, sorted ascending. `enc(f, v)` = number
-    /// of `grid[f]` bounds `< v`, so encoding costs a couple of compares
-    /// per feature instead of a search over the full 255-bin map.
+    /// Per-feature encoding grid: the distinct thresholds of this model's
+    /// splits on the feature, sorted ascending. `enc(f, v)` = number of
+    /// `grid[f]` values `< v`.
     grid: Vec<Vec<f32>>,
     /// Packed nodes: `feature << 48 | cut << 32 | left_child`. Leaves are
     /// self-loops (`feature 0, cut 0, left_child = self - 1`).
@@ -110,9 +102,6 @@ pub struct QuantizedModel {
     /// Leaf flag per node (compile/prune bookkeeping, not read by the
     /// kernel).
     leaf: Vec<bool>,
-    /// Raw training-time threshold per split (`-inf` for synthetic
-    /// always-right nodes) — kept for [`QuantizedModel::quantization_agrees`].
-    raw_threshold: Vec<f32>,
     /// Leaf output per node (0 for splits).
     value: Vec<f64>,
     /// Root node per tree (absolute index into `nodes`).
@@ -120,11 +109,6 @@ pub struct QuantizedModel {
     /// Fixed walk depth per tree: after this many branchless steps every
     /// row cursor sits on a (self-looping) leaf.
     depth: Vec<u32>,
-    /// Every split threshold coincided with a grid bound, so compares — and
-    /// therefore scores — are bit-equal to the flat walk.
-    exact: bool,
-    /// Fingerprint of the [`BinMap`] this model was compiled against.
-    fingerprint: u64,
     /// Mask-kernel evaluation tables; `None` when some tree exceeds 64
     /// leaves, in which case the batch kernel falls back to the
     /// fixed-depth interleaved walk.
@@ -288,7 +272,6 @@ enum TmpNode {
     Split {
         feature: u16,
         cut: u16,
-        raw: f32,
         left: Box<TmpNode>,
         right: Box<TmpNode>,
     },
@@ -309,7 +292,6 @@ fn pack(feature: u16, cut: u16, child: u32) -> u64 {
 struct Layout {
     nodes: Vec<u64>,
     leaf: Vec<bool>,
-    raw_threshold: Vec<f32>,
     value: Vec<f64>,
     roots: Vec<u32>,
     depth: Vec<u32>,
@@ -319,7 +301,6 @@ impl Layout {
     fn push_slot(&mut self) {
         self.nodes.push(0);
         self.leaf.push(false);
-        self.raw_threshold.push(f32::NEG_INFINITY);
         self.value.push(0.0);
     }
 
@@ -355,7 +336,6 @@ impl Layout {
                 TmpNode::Split {
                     feature,
                     cut,
-                    raw,
                     left,
                     right,
                 } => {
@@ -363,7 +343,6 @@ impl Layout {
                     self.push_slot();
                     self.push_slot();
                     self.nodes[at as usize] = pack(*feature, *cut, li);
-                    self.raw_threshold[at as usize] = *raw;
                     queue.push_back((left, li, level + 1));
                     queue.push_back((right, li + 1, level + 1));
                 }
@@ -378,8 +357,8 @@ impl Layout {
 }
 
 /// Recursively lifts one flat-model tree into [`TmpNode`] form, computing
-/// each split's cut against the reduced grid: `cut` = number of grid
-/// bounds `<= threshold`, so `bin < cut ⟺ v <= snap(threshold)`.
+/// each split's cut against the grid: `cut` = number of grid values
+/// `<= threshold`, so `bin < cut ⟺ v <= threshold`.
 fn tmp_from_flat(flat: &FlatModel, grid: &[Vec<f32>], at: usize) -> TmpNode {
     let f = flat.feature[at];
     if f == LEAF {
@@ -392,56 +371,42 @@ fn tmp_from_flat(flat: &FlatModel, grid: &[Vec<f32>], at: usize) -> TmpNode {
     TmpNode::Split {
         feature: f as u16,
         cut,
-        raw: t,
         left: Box::new(tmp_from_flat(flat, grid, flat.left[at] as usize)),
         right: Box::new(tmp_from_flat(flat, grid, flat.right[at] as usize)),
     }
 }
 
 impl QuantizedModel {
-    /// Compiles a flat model against a frozen bin grid. Build this once at
-    /// model-publish time; see the module docs for the exactness contract.
+    /// Compiles a flat model. Build this once at model-publish time; the
+    /// encoding grid is the model's own split thresholds, so the result is
+    /// bit-equal to the flat walk (module docs).
     ///
     /// # Panics
     ///
-    /// Panics if the map's feature count differs from the model's.
-    pub fn compile(flat: &FlatModel, map: &BinMap) -> Self {
-        assert_eq!(
-            flat.num_features(),
-            map.num_features(),
-            "bin map fit on a different feature count"
-        );
+    /// Panics if the model has `u16::MAX` or more features, or a feature
+    /// with [`MISSING_BIN`] or more distinct split thresholds.
+    pub fn compile(flat: &FlatModel) -> Self {
         assert!(
             flat.num_features() < usize::from(u16::MAX),
             "feature index must fit in u16"
         );
         let nf = flat.num_features();
 
-        // Pass 1: per feature, collect the grid bounds this model's splits
-        // actually snap to, and learn whether every snap was exact.
+        // Pass 1: per feature, the sorted distinct split thresholds.
         let mut grid: Vec<Vec<f32>> = vec![Vec::new(); nf];
-        let mut exact = true;
         for at in 0..flat.num_nodes() {
             let f = flat.feature[at];
-            if f == LEAF {
-                continue;
-            }
-            let t = flat.threshold[at];
-            let bounds = map.bounds(f as usize);
-            let n_le = bounds.partition_point(|&b| b <= t);
-            if n_le == 0 {
-                // Threshold below the whole grid: the quantized split can
-                // never go left (cut 0) — bounded-delta regime.
-                exact = false;
-            } else {
-                let snap = bounds[n_le - 1];
-                exact &= snap == t;
-                grid[f as usize].push(snap);
+            if f != LEAF {
+                grid[f as usize].push(flat.threshold[at]);
             }
         }
         for g in &mut grid {
-            g.sort_by(|a, b| a.partial_cmp(b).expect("grid bounds are comparable"));
+            g.sort_by(|a, b| a.partial_cmp(b).expect("split thresholds are comparable"));
             g.dedup();
+            assert!(
+                g.len() < usize::from(MISSING_BIN),
+                "distinct split thresholds per feature must fit below MISSING_BIN"
+            );
         }
 
         // Pass 2: lift each tree, lay it out breadth-first, and build the
@@ -462,12 +427,9 @@ impl QuantizedModel {
             grid,
             nodes: layout.nodes,
             leaf: layout.leaf,
-            raw_threshold: layout.raw_threshold,
             value: layout.value,
             roots: layout.roots,
             depth: layout.depth,
-            exact,
-            fingerprint: map.fingerprint(),
             masks,
         }
     }
@@ -517,12 +479,9 @@ impl QuantizedModel {
             grid: self.grid.clone(),
             nodes: layout.nodes,
             leaf: layout.leaf,
-            raw_threshold: layout.raw_threshold,
             value: layout.value,
             roots: layout.roots,
             depth: layout.depth,
-            exact: self.exact,
-            fingerprint: self.fingerprint,
             masks,
         }
     }
@@ -552,7 +511,6 @@ impl QuantizedModel {
         TmpNode::Split {
             feature: f as u16,
             cut,
-            raw: self.raw_threshold[at],
             left: Box::new(self.simplify(left, lo, hi)),
             right: Box::new(self.simplify(left + 1, lo, hi)),
         }
@@ -579,20 +537,6 @@ impl QuantizedModel {
         self.nodes.len()
     }
 
-    /// True when every split threshold coincided with a grid bound at
-    /// compile time, making quantized scores bit-equal to the flat walk
-    /// (see the module docs). Always true when the model was trained on
-    /// the grid it was compiled against.
-    pub fn is_exact(&self) -> bool {
-        self.exact
-    }
-
-    /// Fingerprint of the [`BinMap`] this model was compiled against
-    /// (matches [`BinMap::fingerprint`]).
-    pub fn grid_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Approximate resident bytes of the compiled model, for
     /// metadata-footprint accounting.
     pub fn approximate_bytes(&self) -> usize {
@@ -605,14 +549,13 @@ impl QuantizedModel {
         });
         self.nodes.len() * 8
             + self.value.len() * 8
-            + self.raw_threshold.len() * 4
             + self.leaf.len()
             + (self.roots.len() + self.depth.len()) * 4
             + self.grid.iter().map(|g| g.len() * 4).sum::<usize>()
             + mask_bytes
     }
 
-    /// Encoded bin of a present, non-NaN value: the number of grid bounds
+    /// Encoded bin of a present, non-NaN value: the number of grid values
     /// `< v`.
     #[inline]
     fn encode_value(&self, f: usize, v: f32) -> u16 {
@@ -662,7 +605,7 @@ impl QuantizedModel {
     }
 
     /// Raw additive score for one encoded row; bit-equal to
-    /// [`FlatModel::predict_raw`] when [`QuantizedModel::is_exact`] holds.
+    /// [`FlatModel::predict_raw`] on the raw row.
     ///
     /// # Panics
     ///
@@ -681,7 +624,7 @@ impl QuantizedModel {
     }
 
     /// Probability of the positive class for one encoded row; bit-equal to
-    /// [`FlatModel::predict_proba`] when [`QuantizedModel::is_exact`] holds.
+    /// [`FlatModel::predict_proba`] on the raw row.
     pub fn predict_proba_binned(&self, bins: &[u16]) -> f64 {
         sigmoid(self.predict_raw_binned(bins))
     }
@@ -859,8 +802,7 @@ impl QuantizedModel {
     }
 
     /// Probabilities for a packed batch of encoded rows; bit-equal to
-    /// [`FlatModel::predict_proba_batch`] on the raw rows when
-    /// [`QuantizedModel::is_exact`] holds.
+    /// [`FlatModel::predict_proba_batch`] on the raw rows.
     ///
     /// # Panics
     ///
@@ -871,43 +813,13 @@ impl QuantizedModel {
             *acc = sigmoid(self.init_score + *acc);
         }
     }
-
-    /// True when `row` avoids every split's disagreement window
-    /// `(snap(threshold), threshold]` — a *sufficient* condition for the
-    /// quantized score to be bit-equal to the flat walk on this row (every
-    /// compare, visited or not, agrees). Verification aid for tests; not a
-    /// hot-path API.
-    pub fn quantization_agrees(&self, row: &[f32]) -> bool {
-        for at in 0..self.nodes.len() {
-            if self.leaf[at] {
-                continue;
-            }
-            let node = self.nodes[at];
-            let f = (node >> 48) as usize;
-            let cut = (node >> 32) as u16;
-            let Some(&v) = row.get(f) else { continue };
-            if v.is_nan() {
-                continue;
-            }
-            let t = self.raw_threshold[at];
-            let snap = if cut == 0 {
-                f32::NEG_INFINITY
-            } else {
-                self.grid[f][usize::from(cut) - 1]
-            };
-            if v > snap && v <= t {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 impl Model {
-    /// Compiles the ensemble for quantized serving against a frozen grid:
-    /// shorthand for `QuantizedModel::compile(&self.flatten(), map)`.
-    pub fn quantize(&self, map: &BinMap) -> QuantizedModel {
-        QuantizedModel::compile(&self.flatten(), map)
+    /// Compiles the ensemble for quantized serving: shorthand for
+    /// `QuantizedModel::compile(&self.flatten())`.
+    pub fn quantize(&self) -> QuantizedModel {
+        QuantizedModel::compile(&self.flatten())
     }
 }
 
@@ -938,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn same_grid_compile_is_exact_and_bit_equal() {
+    fn compile_is_bit_equal_to_the_flat_walk() {
         for seed in 0..6u64 {
             let d = 2 + (seed as usize % 4);
             let (rows, labels) = random_dataset(seed, 400, d);
@@ -947,13 +859,7 @@ mod tests {
             params.seed = seed;
             let model = train(&data, &params);
             let flat = model.flatten();
-            let map = BinMap::fit(&data, params.max_bins);
-            let quant = QuantizedModel::compile(&flat, &map);
-            assert!(
-                quant.is_exact(),
-                "seed {seed}: training grid must snap exactly"
-            );
-            assert_eq!(quant.grid_fingerprint(), map.fingerprint());
+            let quant = QuantizedModel::compile(&flat);
             let mut bins = Vec::new();
             for row in rows.iter().take(120) {
                 quant.encode_row_into(row, &mut bins);
@@ -977,8 +883,7 @@ mod tests {
         let data = Dataset::from_rows(rows.clone(), labels).unwrap();
         let params = GbdtParams::lfo_paper();
         let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
-        let quant = model.quantize(&map);
+        let quant = model.quantize();
         let packed = quant.encode_rows(&rows);
         let mut out = vec![0.0f64; rows.len()];
         quant.predict_proba_binned_batch(&packed, &mut out);
@@ -987,7 +892,7 @@ mod tests {
             quant.encode_row_into(row, &mut bins);
             assert_eq!(p.to_bits(), quant.predict_proba_binned(&bins).to_bits());
         }
-        // And bit-equal to the flat batch (exact regime).
+        // And bit-equal to the flat batch.
         let stride = model.num_features();
         let packed_raw: Vec<f32> = rows.iter().flat_map(|r| r.iter().copied()).collect();
         let mut flat_out = vec![0.0f64; rows.len()];
@@ -1006,9 +911,8 @@ mod tests {
         let data = Dataset::from_rows(rows, labels).unwrap();
         let params = GbdtParams::lfo_paper();
         let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
         let flat = model.flatten();
-        let quant = model.quantize(&map);
+        let quant = model.quantize();
         let mut bins = Vec::new();
         for short in [&[][..], &[0.5][..], &[0.5, -1.0][..]] {
             quant.encode_row_into(short, &mut bins);
@@ -1033,8 +937,7 @@ mod tests {
         let data = Dataset::from_rows(rows, vec![1.0; 50]).unwrap();
         let params = GbdtParams::lfo_paper();
         let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
-        let quant = model.quantize(&map);
+        let quant = model.quantize();
         let mut bins = Vec::new();
         quant.encode_row_into(&[3.0], &mut bins);
         assert_eq!(
@@ -1057,8 +960,7 @@ mod tests {
         params.num_leaves = 96;
         params.min_data_in_leaf = 1;
         let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
-        let quant = model.quantize(&map);
+        let quant = model.quantize();
         // Leaf counts per tree pick the kernel: > 64 leaves in any tree
         // drops the mask tables and the batch path walks instead.
         let max_leaves = (0..quant.num_trees())
@@ -1098,8 +1000,7 @@ mod tests {
         let data = Dataset::from_rows(rows, labels).unwrap();
         let params = GbdtParams::lfo_paper();
         let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
-        let quant = model.quantize(&map);
+        let quant = model.quantize();
         assert!(
             quant.masks.is_some(),
             "31-leaf trees must use the mask kernel"
@@ -1117,8 +1018,7 @@ mod tests {
         let data = Dataset::from_rows(rows.clone(), labels).unwrap();
         let params = GbdtParams::lfo_paper();
         let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
-        let quant = model.quantize(&map);
+        let quant = model.quantize();
         let (trees, entries, depth) = quant.kernel_stats();
         println!("trees {trees}  entries {entries}  depth {depth}");
         let mut packed = Vec::new();
@@ -1148,8 +1048,7 @@ mod tests {
         let data = Dataset::from_rows(rows.clone(), labels).unwrap();
         let params = GbdtParams::lfo_paper();
         let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
-        let quant = model.quantize(&map);
+        let quant = model.quantize();
         // Invariant: feature 1 always within [-1, 1].
         let pruned = quant.prune(&[Predicate::range(1, -1.0, 1.0)]);
         assert!(
@@ -1174,8 +1073,7 @@ mod tests {
         let data = Dataset::from_rows(rows.clone(), labels).unwrap();
         let params = GbdtParams::lfo_paper();
         let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
-        let quant = model.quantize(&map);
+        let quant = model.quantize();
         let pruned = quant.prune(&[]);
         let mut bins = Vec::new();
         for row in rows.iter().take(100) {
@@ -1188,33 +1086,31 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_grid_agrees_off_boundary_windows() {
+    fn rows_on_and_between_thresholds_route_like_the_flat_walk() {
+        // Every split threshold is on the grid, so rows sitting exactly on
+        // a threshold, between two, or past either end take the flat
+        // walk's branch at every split.
         let (rows, labels) = random_dataset(21, 500, 3);
-        let data = Dataset::from_rows(rows.clone(), labels).unwrap();
-        let params = GbdtParams::lfo_paper();
-        let model = train(&data, &params);
+        let data = Dataset::from_rows(rows, labels).unwrap();
+        let model = train(&data, &GbdtParams::lfo_paper());
         let flat = model.flatten();
-        // A grid fit on *different* data: snapping is inexact.
-        let (other_rows, other_labels) = random_dataset(99, 300, 3);
-        let other = Dataset::from_rows(other_rows, other_labels).unwrap();
-        let coarse = BinMap::fit(&other, 16);
-        let quant = QuantizedModel::compile(&flat, &coarse);
-        assert!(!quant.is_exact() || quant.num_nodes() == 0);
+        let quant = QuantizedModel::compile(&flat);
+        let mut probes = vec![f32::NEG_INFINITY, f32::INFINITY, f32::NAN];
+        for g in &quant.grid {
+            probes.extend(g.iter().copied());
+            probes.extend(g.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2.0));
+        }
         let mut bins = Vec::new();
-        let mut checked = 0usize;
-        for row in &rows {
-            quant.encode_row_into(row, &mut bins);
-            let q = quant.predict_proba_binned(&bins);
-            let f = flat.predict_proba(row);
-            if quant.quantization_agrees(row) {
+        for &a in &probes {
+            for &b in probes.iter().step_by(7) {
+                let row = [a, b, a];
+                quant.encode_row_into(&row, &mut bins);
                 assert_eq!(
-                    q.to_bits(),
-                    f.to_bits(),
-                    "row off every boundary window must score bit-equal"
+                    quant.predict_proba_binned(&bins).to_bits(),
+                    flat.predict_proba(&row).to_bits(),
+                    "row {row:?}"
                 );
-                checked += 1;
             }
         }
-        assert!(checked > 0, "no rows avoided the boundary windows");
     }
 }

@@ -7,9 +7,9 @@
 //! (`f32` rows for the recursive and flat walks, u16 bins for the quantized
 //! engines) and exposes one range-scoring call, so adding the quantized
 //! kernel meant one new match arm instead of a third copy of the loop.
+//! Every engine compiles from the model alone, so packing cannot fail.
 
 use crate::boosting::Model;
-use crate::dataset::BinMap;
 use crate::flat::FlatModel;
 use crate::quantized::{Predicate, QuantizedModel};
 
@@ -50,11 +50,6 @@ impl EngineKind {
             EngineKind::QuantizedPruned => "quantized+pruned",
         }
     }
-
-    /// Whether this engine needs the frozen training grid to compile.
-    pub fn needs_bin_map(self) -> bool {
-        matches!(self, EngineKind::Quantized | EngineKind::QuantizedPruned)
-    }
 }
 
 /// A model compiled for one engine, with a row set packed in that engine's
@@ -87,16 +82,13 @@ impl<'m> PackedScorer<'m> {
     /// Packs `rows` for `engine`. Short rows are padded with `+inf`
     /// (missing ≡ right branch, the walk convention); quantized engines
     /// encode to u16 bins once, here, so the scoring loop never touches
-    /// floats. Returns `None` when the engine needs a bin grid and
-    /// `bin_map` is absent or was fit on a different feature count — the
-    /// caller decides whether that is a skip or an error.
+    /// floats. `predicates` specialize [`EngineKind::QuantizedPruned`] only.
     pub fn pack(
         model: &'m Model,
         engine: EngineKind,
         rows: &[Vec<f32>],
-        bin_map: Option<&BinMap>,
         predicates: &[Predicate],
-    ) -> Option<Self> {
+    ) -> Self {
         let stride = model.num_features();
         let pack_f32 = || {
             let mut packed = Vec::with_capacity(rows.len() * stride);
@@ -120,11 +112,7 @@ impl<'m> PackedScorer<'m> {
                 stride,
             },
             EngineKind::Quantized | EngineKind::QuantizedPruned => {
-                let map = bin_map?;
-                if map.num_features() != model.num_features() {
-                    return None;
-                }
-                let mut quant = model.quantize(map);
+                let mut quant = model.quantize();
                 if engine == EngineKind::QuantizedPruned {
                     quant = quant.prune(predicates);
                 }
@@ -137,11 +125,11 @@ impl<'m> PackedScorer<'m> {
                 }
             }
         };
-        Some(PackedScorer {
+        PackedScorer {
             engine,
             num_rows: rows.len(),
             repr,
-        })
+        }
     }
 
     /// The engine this scorer was packed for.
@@ -208,7 +196,7 @@ mod tests {
     use super::*;
     use crate::{train, Dataset, GbdtParams};
 
-    fn fixture() -> (Vec<Vec<f32>>, Model, BinMap) {
+    fn fixture() -> (Vec<Vec<f32>>, Model) {
         let rows: Vec<Vec<f32>> = (0..600)
             .map(|r| {
                 (0..3)
@@ -218,20 +206,18 @@ mod tests {
             .collect();
         let labels: Vec<f32> = rows.iter().map(|r| (r[0] < r[1]) as u8 as f32).collect();
         let data = Dataset::from_rows(rows.clone(), labels).unwrap();
-        let params = GbdtParams::lfo_paper();
-        let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
-        (rows, model, map)
+        let model = train(&data, &GbdtParams::lfo_paper());
+        (rows, model)
     }
 
     #[test]
-    fn all_engines_agree_bit_for_bit_on_the_training_grid() {
-        let (rows, model, map) = fixture();
+    fn all_engines_agree_bit_for_bit() {
+        let (rows, model) = fixture();
         let mut reference = vec![0.0f64; rows.len()];
-        let flat = PackedScorer::pack(&model, EngineKind::Flat, &rows, None, &[]).unwrap();
+        let flat = PackedScorer::pack(&model, EngineKind::Flat, &rows, &[]);
         flat.score_all(&mut reference);
         for engine in EngineKind::ALL {
-            let scorer = PackedScorer::pack(&model, engine, &rows, Some(&map), &[]).unwrap();
+            let scorer = PackedScorer::pack(&model, engine, &rows, &[]);
             assert_eq!(scorer.engine(), engine);
             assert_eq!(scorer.num_rows(), rows.len());
             let mut out = vec![0.0f64; rows.len()];
@@ -248,25 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn quantized_engines_require_a_grid() {
-        let (rows, model, map) = fixture();
-        assert!(PackedScorer::pack(&model, EngineKind::Quantized, &rows, None, &[]).is_none());
-        assert!(
-            PackedScorer::pack(&model, EngineKind::Quantized, &rows, Some(&map), &[]).is_some()
-        );
-        // A grid fit on a different feature count is rejected, not misused.
-        let narrow = Dataset::from_rows(vec![vec![1.0], vec![2.0]], vec![0.0, 1.0]).unwrap();
-        let wrong = BinMap::fit(&narrow, 255);
-        assert!(
-            PackedScorer::pack(&model, EngineKind::Quantized, &rows, Some(&wrong), &[]).is_none()
-        );
-    }
-
-    #[test]
     fn score_range_matches_score_all() {
-        let (rows, model, map) = fixture();
-        let scorer =
-            PackedScorer::pack(&model, EngineKind::Quantized, &rows, Some(&map), &[]).unwrap();
+        let (rows, model) = fixture();
+        let scorer = PackedScorer::pack(&model, EngineKind::Quantized, &rows, &[]);
         let mut all = vec![0.0f64; rows.len()];
         scorer.score_all(&mut all);
         let mut part = vec![0.0f64; 100];

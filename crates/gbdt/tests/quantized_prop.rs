@@ -1,29 +1,22 @@
 //! Property tests for the quantized serving engine's equivalence contract:
 //!
-//! - compiled against the model's own training grid, quantized inference is
-//!   **bit-equal** to the flat f32 walk on arbitrary rows (including NaN,
-//!   ±inf, and values far outside the training distribution);
-//! - compiled against a *mismatched* grid, rows where no feature value
-//!   lands inside a snapped-threshold boundary window
-//!   ([`QuantizedModel::quantization_agrees`]) still score bit-equal — so
-//!   admission decisions can differ only on boundary-window rows, the
-//!   documented ≤1-bin delta (DESIGN.md §12);
+//! - compiled from the model's own split thresholds, quantized inference
+//!   is **bit-equal** to the flat f32 walk on arbitrary rows (including
+//!   NaN, ±inf, and values far outside the training distribution);
 //! - predicate pruning is score-preserving on every row that satisfies the
 //!   predicate.
 
 use std::sync::OnceLock;
 
-use gbdt::{train, BinMap, Dataset, FlatModel, GbdtParams, Predicate, QuantizedModel};
+use gbdt::{train, Dataset, FlatModel, GbdtParams, Predicate, QuantizedModel};
 use proptest::prelude::*;
 
 struct Fixture {
     flat: FlatModel,
-    /// Compiled against the training grid: exact by construction.
-    exact: QuantizedModel,
-    /// Exact engine specialized to `features[0] ∈ [0, 400]`.
+    /// The compiled engine.
+    quant: QuantizedModel,
+    /// The engine specialized to `features[0] ∈ [0, 400]`.
     pruned: QuantizedModel,
-    /// Compiled against a grid fit on different data: thresholds snap.
-    skewed: QuantizedModel,
 }
 
 const NUM_FEATURES: usize = 4;
@@ -43,28 +36,13 @@ fn fixture() -> &'static Fixture {
             .map(|r| (r[0] + r[1] < r[2] + r[3]) as u8 as f32)
             .collect();
         let data = Dataset::from_rows(rows, labels).unwrap();
-        let params = GbdtParams::lfo_paper();
-        let model = train(&data, &params);
-        let map = BinMap::fit(&data, params.max_bins);
-        let exact = model.quantize(&map);
-        assert!(exact.is_exact(), "training grid must compile exactly");
-        let pruned = exact.prune(&[Predicate::range(0, 0.0, 400.0)]);
-
-        let skew_rows: Vec<Vec<f32>> = (0..300)
-            .map(|r| {
-                (0..NUM_FEATURES)
-                    .map(|c| ((r * 53 + c * 71) % 487) as f32 * 0.631 + 0.17)
-                    .collect()
-            })
-            .collect();
-        let skew_data = Dataset::from_rows(skew_rows, vec![0.0; 300]).unwrap();
-        let skewed = model.quantize(&BinMap::fit(&skew_data, 64));
-
+        let model = train(&data, &GbdtParams::lfo_paper());
+        let quant = model.quantize();
+        let pruned = quant.prune(&[Predicate::range(0, 0.0, 400.0)]);
         Fixture {
             flat: model.flatten(),
-            exact,
+            quant,
             pruned,
-            skewed,
         }
     })
 }
@@ -108,44 +86,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn same_grid_quantization_is_bit_equal_on_arbitrary_rows(row in arb_row()) {
+    fn compiled_engine_is_bit_equal_to_the_flat_walk_on_arbitrary_rows(row in arb_row()) {
         let f = fixture();
         let want = f.flat.predict_proba(&row);
-        let got = score_binned(&f.exact, &row);
+        let got = score_binned(&f.quant, &row);
         prop_assert_eq!(got.to_bits(), want.to_bits());
-        // The exact compile has no boundary windows at all.
-        prop_assert!(f.exact.quantization_agrees(&row));
-    }
-
-    #[test]
-    fn mismatched_grid_disagrees_only_inside_boundary_windows(
-        row in arb_row(),
-        cutoff in 0.05f64..0.95f64,
-    ) {
-        let f = fixture();
-        let want = f.flat.predict_proba(&row);
-        let got = score_binned(&f.skewed, &row);
-        if f.skewed.quantization_agrees(&row) {
-            // No feature in any snapped-threshold window: bit-equal scores,
-            // so the admission decision matches at every cutoff.
-            prop_assert_eq!(got.to_bits(), want.to_bits());
-            prop_assert_eq!(got >= cutoff, want >= cutoff);
-        } else {
-            // Boundary-window row: the documented ≤1-bin delta regime. The
-            // score must still be a probability; the decision may differ.
-            prop_assert!((0.0..=1.0).contains(&got), "score {got} not a probability");
-        }
-        // Contrapositive of the contract: any score difference must be
-        // attributable to a boundary window.
-        if got.to_bits() != want.to_bits() {
-            prop_assert!(!f.skewed.quantization_agrees(&row));
-        }
     }
 
     #[test]
     fn pruning_preserves_scores_on_predicate_satisfying_rows(row in arb_predicate_row()) {
         let f = fixture();
-        let full = score_binned(&f.exact, &row);
+        let full = score_binned(&f.quant, &row);
         let pruned = score_binned(&f.pruned, &row);
         prop_assert_eq!(pruned.to_bits(), full.to_bits());
     }

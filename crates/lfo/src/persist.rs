@@ -285,11 +285,8 @@ impl LfoArtifact {
         self
     }
 
-    /// Attaches the frozen bin map (for incremental warm restarts and
-    /// publish-time quantization), stamping its fingerprint into the
-    /// provenance lineage. The fingerprint is what authorizes compiling the
-    /// quantized serving layout at publish time — see
-    /// [`LfoArtifact::quantization_map`].
+    /// Attaches the frozen bin map (for incremental warm restarts),
+    /// stamping its fingerprint into the provenance lineage.
     pub fn with_bin_map(mut self, bin_map: Option<BinMap>) -> Self {
         if let Some(map) = &bin_map {
             let lineage = self.provenance.lineage.get_or_insert_with(Lineage::default);
@@ -297,27 +294,6 @@ impl LfoArtifact {
         }
         self.bin_map = bin_map;
         self
-    }
-
-    /// The bin map this artifact is *authorized* to quantize against: the
-    /// stored map, but only when the lineage fingerprint proves it is the
-    /// grid the model's training chain was binned on. A fingerprint-less
-    /// artifact (pre-quantization builds, or a map attached by direct field
-    /// assignment) returns `None` and serves through the flat walk — never
-    /// a silent requantization against an unproven grid.
-    pub fn quantization_map(&self) -> Option<&BinMap> {
-        let map = self.bin_map.as_ref()?;
-        let recorded = self
-            .provenance
-            .lineage
-            .as_ref()?
-            .bin_map_fingerprint
-            .as_deref()?;
-        if recorded == format!("{:016x}", map.fingerprint()) {
-            Some(map)
-        } else {
-            None
-        }
     }
 
     /// Serializes to the checksummed envelope format.
@@ -400,16 +376,9 @@ impl LfoArtifact {
 
     /// Publishes the artifact's model and cutoff into a serving
     /// [`ModelSlot`] — the cold-start path for sharded caches and
-    /// prediction servers. When the artifact carries its frozen training
-    /// grid *and* the lineage fingerprint vouches for it, the quantized
-    /// serving layout is compiled here; otherwise the publish is flat-only
-    /// and subscribers serve through the f32 walk.
+    /// prediction servers. The slot compiles the serving engine.
     pub fn publish_to(&self, slot: &ModelSlot) {
-        slot.publish_compiled(
-            Arc::new(self.model.clone()),
-            self.deployed_cutoff,
-            self.quantization_map(),
-        );
+        slot.publish(Arc::new(self.model.clone()), self.deployed_cutoff);
     }
 
     /// Builds a serving cache from the artifact, tracker history included.
@@ -830,41 +799,6 @@ mod tests {
             .as_ref()
             .expect("lineage created");
         assert_eq!(lineage.bin_map_fingerprint.as_deref(), Some(&*fingerprint));
-        assert!(stamped.quantization_map().is_some());
-    }
-
-    #[test]
-    fn publish_quantizes_only_with_a_verified_fingerprint() {
-        // Stamped map: the publish compiles the quantized layout.
-        let artifact = toy_artifact();
-        let map = artifact_grid(&artifact);
-        let stamped = toy_artifact().with_bin_map(Some(map.clone()));
-        let slot = ModelSlot::new();
-        stamped.publish_to(&slot);
-        assert!(slot.compiled().unwrap().quantized.is_some());
-
-        // A map attached by direct field assignment carries no fingerprint:
-        // flat-only publish, no silent requantization.
-        let mut legacy = toy_artifact();
-        legacy.bin_map = Some(map.clone());
-        assert!(legacy.quantization_map().is_none());
-        let slot = ModelSlot::new();
-        legacy.publish_to(&slot);
-        assert!(slot.compiled().unwrap().quantized.is_none());
-
-        // A fingerprint recorded for a *different* grid must not authorize
-        // this one.
-        let mut skewed = toy_artifact().with_bin_map(Some(map));
-        skewed
-            .provenance
-            .lineage
-            .as_mut()
-            .unwrap()
-            .bin_map_fingerprint = Some("deadbeefdeadbeef".into());
-        assert!(skewed.quantization_map().is_none());
-        let slot = ModelSlot::new();
-        skewed.publish_to(&slot);
-        assert!(slot.compiled().unwrap().quantized.is_none());
     }
 
     #[test]

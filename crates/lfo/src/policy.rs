@@ -12,7 +12,9 @@
 //! Until the first model is installed, the policy falls back to LRU
 //! (admit everything; recency as the likelihood), so the pipeline's first
 //! window behaves like a plain cache while LFO collects its first OPT
-//! labels.
+//! labels. Once a model is published, every request is scored through one
+//! engine: the model compiled to a [`QuantizedModel`] and pruned against
+//! the cache's free-bytes bound, bit-equal to `Model::predict_proba`.
 //!
 //! Victim selection is pluggable ([`EvictionStrategy`], DESIGN.md §14):
 //! the reference path keeps a fully ordered `BTreeSet` queue (exact
@@ -45,14 +47,24 @@ pub const FREE_FEATURE: usize = 2;
 /// every subscriber (each shard of a sharded cache) shares one copy of each
 /// layout instead of recompiling per shard.
 pub struct CompiledArtifact {
-    /// The training-side ensemble (recursive walk; the compatibility path).
-    pub model: Arc<Model>,
-    /// Flat SoA layout, bit-equal to the recursive walk.
+    /// Flat SoA layout, bit-equal to the recursive walk: the compile input,
+    /// kept as the reference layout.
     pub flat: Arc<FlatModel>,
-    /// Quantized integer-compare layout, present only when the publish
-    /// carried the frozen training [`BinMap`] — absent, serving stays on
-    /// the flat walk (no silent requantization against a mismatched grid).
-    pub quantized: Option<Arc<QuantizedModel>>,
+    /// Quantized integer-compare layout compiled from the model's own split
+    /// thresholds, bit-equal to `flat`. Subscribers serve through a
+    /// predicate-pruned copy ([`ModelSlot::pruned_for`]).
+    pub quantized: Arc<QuantizedModel>,
+}
+
+impl CompiledArtifact {
+    fn compile(model: &Model) -> Self {
+        let flat = model.flatten();
+        let quantized = Arc::new(QuantizedModel::compile(&flat));
+        CompiledArtifact {
+            flat: Arc::new(flat),
+            quantized,
+        }
+    }
 }
 
 /// A shared publication point for trained models and admission cutoffs.
@@ -93,45 +105,32 @@ impl ModelSlot {
     }
 
     /// Publishes a model and its admission cutoff as one rollout event.
-    /// The flat serving layout is built here, once, not per subscriber;
-    /// no quantized layout is compiled (see [`ModelSlot::publish_compiled`]).
+    /// The serving artifact is compiled here, once, not per subscriber.
     pub fn publish(&self, model: Arc<Model>, cutoff: f64) {
-        self.publish_compiled(model, cutoff, None);
+        self.install(&model, Some(cutoff));
     }
 
-    /// Publishes a model and cutoff, compiling the full serving artifact.
-    /// When `bin_map` is the frozen grid the model was trained against, the
-    /// quantized integer-compare layout is compiled here — once, at publish
-    /// time — and every subscriber serves through it. A `None` or
-    /// feature-count-mismatched map publishes flat-only (the caller is
-    /// responsible for fingerprint gating; see `LfoArtifact::publish_to`).
-    pub fn publish_compiled(&self, model: Arc<Model>, cutoff: f64, bin_map: Option<&BinMap>) {
-        let flat = Arc::new(model.flatten());
-        let quantized = bin_map
-            .filter(|map| map.num_features() == model.num_features())
-            .map(|map| Arc::new(model.quantize(map)));
-        let artifact = Arc::new(CompiledArtifact {
-            model,
-            flat,
-            quantized,
-        });
-        let mut state = self.inner.state.lock().expect("slot lock poisoned");
-        state.artifact = Some(artifact);
-        state.cutoff = Some(cutoff);
-        state.pruned.clear();
-        self.inner.version.fetch_add(1, Ordering::Release);
+    /// Forwards to [`ModelSlot::publish`]. The grid argument is unused —
+    /// the engine compiles from the model's own split thresholds — and is
+    /// kept only because the `perfbench` crate calls this signature.
+    pub fn publish_compiled(&self, model: Arc<Model>, cutoff: f64, _grid: Option<&BinMap>) {
+        self.publish(model, cutoff);
     }
 
     /// Publishes a model, leaving the cutoff as previously published.
     pub fn publish_model(&self, model: Arc<Model>) {
-        let flat = Arc::new(model.flatten());
-        let artifact = Arc::new(CompiledArtifact {
-            model,
-            flat,
-            quantized: None,
-        });
+        self.install(&model, None);
+    }
+
+    /// Compiles `model` and swaps it in (with `cutoff`, when given) as one
+    /// version bump.
+    fn install(&self, model: &Model, cutoff: Option<f64>) {
+        let artifact = Arc::new(CompiledArtifact::compile(model));
         let mut state = self.inner.state.lock().expect("slot lock poisoned");
         state.artifact = Some(artifact);
+        if cutoff.is_some() {
+            state.cutoff = cutoff;
+        }
         state.pruned.clear();
         self.inner.version.fetch_add(1, Ordering::Release);
     }
@@ -171,11 +170,11 @@ impl ModelSlot {
     /// The published quantized model specialized against a shard invariant
     /// `features[free_feature] ∈ [0, free_max]`, memoized so pooled shards
     /// (which all present the pool's capacity as their bound) share one
-    /// pruned copy. `None` when the current publish carries no quantized
-    /// layout. The memo is cleared on every publish.
+    /// pruned copy. `None` until a model is published. The memo is cleared
+    /// on every publish.
     pub fn pruned_for(&self, free_feature: usize, free_max: f64) -> Option<Arc<QuantizedModel>> {
         let mut state = self.inner.state.lock().expect("slot lock poisoned");
-        let quant = state.artifact.as_ref()?.quantized.clone()?;
+        let quant = state.artifact.as_ref()?.quantized.clone();
         let key = (free_feature, free_max.to_bits());
         if let Some(pruned) = state.pruned.get(&key) {
             return Some(pruned.clone());
@@ -185,11 +184,11 @@ impl ModelSlot {
         Some(pruned)
     }
 
-    /// A consistent (version, compiled artifact, cutoff) snapshot.
-    fn snapshot(&self) -> (u64, Option<Arc<CompiledArtifact>>, Option<f64>) {
+    /// A consistent (version, cutoff) snapshot.
+    fn snapshot(&self) -> (u64, Option<f64>) {
         let state = self.inner.state.lock().expect("slot lock poisoned");
         let version = self.inner.version.load(Ordering::Acquire);
-        (version, state.artifact.clone(), state.cutoff)
+        (version, state.cutoff)
     }
 }
 
@@ -343,14 +342,11 @@ pub struct LfoCache {
     capacity: u64,
     used: u64,
     config: LfoConfig,
-    model: Option<Arc<Model>>,
-    /// Flattened serving layout of `model` (same publication); the fallback
-    /// hot path scores with this when no quantized layout was published.
-    flat: Option<Arc<FlatModel>>,
-    /// Quantized serving engine — the published quantized layout pruned
-    /// against this cache's free-bytes invariant (`free ∈ [0, bound]`).
-    /// Preferred over `flat` when present; refreshed on every publish and
-    /// whenever the bound changes (`join_pool`, `set_feature_free_scale`).
+    /// The serving engine — the published quantized layout pruned against
+    /// this cache's free-bytes invariant (`free ∈ [0, bound]`); `None`
+    /// until a model is published (LRU fallback). Refreshed on every
+    /// publish and whenever the bound changes (`join_pool`,
+    /// `set_feature_free_scale`).
     quantized: Option<Arc<QuantizedModel>>,
     slot: ModelSlot,
     slot_seen: u64,
@@ -408,8 +404,6 @@ impl LfoCache {
             capacity,
             used: 0,
             config,
-            model: None,
-            flat: None,
             quantized: None,
             slot,
             slot_seen: 0,
@@ -463,12 +457,8 @@ impl LfoCache {
         if self.slot.version() == self.slot_seen {
             return;
         }
-        let (version, artifact, cutoff) = self.slot.snapshot();
-        if let Some(artifact) = artifact {
-            self.model = Some(artifact.model.clone());
-            self.flat = Some(artifact.flat.clone());
-            self.refresh_engine();
-        }
+        let (version, cutoff) = self.slot.snapshot();
+        self.refresh_engine();
         if let Some(cutoff) = cutoff {
             self.config.cutoff = cutoff;
         }
@@ -487,24 +477,21 @@ impl LfoCache {
         }
     }
 
-    /// Re-derives the quantized serving engine: the published quantized
-    /// layout pruned against this cache's current free-bytes bound (shared
-    /// across shards with the same bound via the slot's memo). Called after
-    /// every publish and whenever the bound changes.
+    /// Re-derives the serving engine: the published quantized layout pruned
+    /// against this cache's current free-bytes bound (shared across shards
+    /// with the same bound via the slot's memo). Called after every publish
+    /// and whenever the bound changes.
     fn refresh_engine(&mut self) {
         self.quantized = self
             .slot
             .pruned_for(FREE_FEATURE, self.free_feature_bound());
     }
 
-    /// The inference engine the next request will be scored through.
+    /// The inference engine the next request will be scored through:
+    /// `"quantized+pruned"`, or `"lru"` while no model is published.
     pub fn engine_label(&self) -> &'static str {
         if self.quantized.is_some() {
             "quantized+pruned"
-        } else if self.flat.is_some() {
-            "flat"
-        } else if self.model.is_some() {
-            "recursive"
         } else {
             "lru"
         }
@@ -624,11 +611,14 @@ impl LfoCache {
         &self.tracker
     }
 
-    /// Approximate heap bytes of the serving model layouts this cache holds
-    /// references to (flat + quantized; the Arcs are shared across shards,
-    /// so a sharded report should count this once, not per shard).
+    /// Approximate heap bytes of the serving model layouts resident for
+    /// this cache: the published flat reference layout plus the pruned
+    /// engine (the Arcs are shared across shards, so a sharded report
+    /// should count this once, not per shard).
     pub fn model_footprint_bytes(&self) -> usize {
-        self.flat.as_ref().map_or(0, |f| f.approximate_bytes())
+        self.slot
+            .compiled()
+            .map_or(0, |artifact| artifact.flat.approximate_bytes())
             + self.quantized.as_ref().map_or(0, |q| q.approximate_bytes())
     }
 
@@ -680,23 +670,13 @@ impl LfoCache {
 
     /// Predicted likelihood that OPT would cache this request, or `None`
     /// while no model is installed. Scored through the pruned quantized
-    /// engine when the publish carried the training grid (the row is
-    /// encoded to u16 bins in a reusable scratch buffer — no float compares
-    /// and no allocation on the hot path), else through the flat SoA layout
-    /// (bit-equal to `Model::predict_proba`).
+    /// engine (bit-equal to `Model::predict_proba`); the row is encoded to
+    /// u16 bins in a reusable scratch buffer — no float compares and no
+    /// allocation on the hot path.
     fn score(&mut self, features: &[f32]) -> Option<f64> {
-        if let Some(quant) = &self.quantized {
-            let mut bins = std::mem::take(&mut self.bin_scratch);
-            quant.encode_row_into(features, &mut bins);
-            let proba = quant.predict_proba_binned(&bins);
-            self.bin_scratch = bins;
-            return Some(proba);
-        }
-        match (&self.flat, &self.model) {
-            (Some(flat), _) => Some(flat.predict_proba(features)),
-            (None, Some(model)) => Some(model.predict_proba(features)),
-            (None, None) => None,
-        }
+        let quant = self.quantized.as_ref()?;
+        quant.encode_row_into(features, &mut self.bin_scratch);
+        Some(quant.predict_proba_binned(&self.bin_scratch))
     }
 
     /// Inserts a new resident into the eviction index and entry map.
@@ -927,7 +907,7 @@ impl LfoCache {
         let priority = self.eviction_priority(likelihood, request.size);
         // A guardrail-forced cache admits everything, like the no-model
         // LRU fallback.
-        let admit = if self.model.is_some() && !forced {
+        let admit = if self.quantized.is_some() && !forced {
             let above_cutoff = likelihood >= self.config.cutoff;
             match self.config.design {
                 PolicyDesign::Paper | PolicyDesign::DensityRanked => above_cutoff,
@@ -1045,7 +1025,7 @@ impl CachePolicy for LfoCache {
         if self.guardrail.is_some() {
             // The learned policy's would-be decision for this request,
             // shadow-scored whether or not it was the one served.
-            let admit = self.model.is_none() || likelihood >= self.config.cutoff;
+            let admit = self.quantized.is_none() || likelihood >= self.config.cutoff;
             let priority = self.eviction_priority(likelihood, request.size);
             // `record` above already ran, so exact history exists iff the
             // doorkeeper has cleared this object (first sightings live only
@@ -1121,6 +1101,7 @@ mod tests {
     fn falls_back_to_lru_without_model() {
         let mut c = LfoCache::new(30, LfoConfig::default());
         assert!(!c.has_model());
+        assert_eq!(c.engine_label(), "lru");
         c.handle(&req(0, 1, 10));
         c.handle(&req(1, 2, 10));
         c.handle(&req(2, 3, 10));
@@ -1370,11 +1351,27 @@ mod tests {
         );
     }
 
+    /// Scores every sampled row through the cache's serving engine and
+    /// asserts it equals the model's reference walk bit for bit.
+    fn assert_engine_matches_reference(c: &mut LfoCache, model: &Model) {
+        let quant = c.quantized.clone().expect("a published model serves");
+        let rows = c.take_feature_samples();
+        assert!(!rows.is_empty());
+        let mut bins = Vec::new();
+        for row in &rows {
+            quant.encode_row_into(row, &mut bins);
+            assert_eq!(
+                quant.predict_proba_binned(&bins).to_bits(),
+                model.predict_proba(row).to_bits()
+            );
+        }
+    }
+
     #[test]
     fn quantized_publish_serves_identical_decisions() {
-        // A publish that carries the training grid serves through the
-        // pruned quantized engine; the training grid makes the compile
-        // exact, so every admission and eviction matches the flat walk.
+        // Every publish serves through the pruned quantized engine, whose
+        // scores equal the model's reference walk on every live row; a
+        // publish that carries a grid serves the same decisions.
         let data = small_object_training_data();
         let params = GbdtParams::lfo_paper();
         let model = Arc::new(train(&data, &params));
@@ -1382,21 +1379,19 @@ mod tests {
 
         let drive = |slot: ModelSlot| {
             let mut c = LfoCache::with_slot(700, LfoConfig::default(), slot);
-            (0..200u64)
+            assert_eq!(c.engine_label(), "quantized+pruned");
+            c.enable_feature_sampling(1);
+            let outcomes: Vec<_> = (0..200u64)
                 .map(|i| c.handle(&req(i, i % 17, (i % 40) * 25 + 1)))
-                .collect::<Vec<_>>()
+                .collect();
+            assert_engine_matches_reference(&mut c, &model);
+            outcomes
         };
-        let flat_slot = ModelSlot::new();
-        flat_slot.publish(model.clone(), 0.5);
-        let quant_slot = ModelSlot::new();
-        quant_slot.publish_compiled(model, 0.5, Some(&map));
-
-        let probe = LfoCache::with_slot(700, LfoConfig::default(), quant_slot.clone());
-        assert_eq!(probe.engine_label(), "quantized+pruned");
-        let flat_probe = LfoCache::with_slot(700, LfoConfig::default(), flat_slot.clone());
-        assert_eq!(flat_probe.engine_label(), "flat");
-
-        assert_eq!(drive(flat_slot), drive(quant_slot));
+        let slot = ModelSlot::new();
+        slot.publish(model.clone(), 0.5);
+        let gridded = ModelSlot::new();
+        gridded.publish_compiled(model.clone(), 0.5, Some(&map));
+        assert_eq!(drive(slot), drive(gridded));
     }
 
     #[test]
@@ -1420,7 +1415,7 @@ mod tests {
             Arc::ptr_eq(&pa, &pb),
             "shards with the same free bound must share one pruned copy"
         );
-        let full = slot.compiled().unwrap().quantized.as_ref().unwrap().clone();
+        let full = slot.compiled().unwrap().quantized.clone();
         assert!(
             pa.num_nodes() <= full.num_nodes(),
             "pruning must not grow the model"
@@ -1429,12 +1424,9 @@ mod tests {
 
     #[test]
     fn free_scale_change_rederives_the_pruned_engine() {
-        let data = small_object_training_data();
-        let params = GbdtParams::lfo_paper();
-        let model = Arc::new(train(&data, &params));
-        let map = gbdt::BinMap::fit(&data, params.max_bins);
+        let model = small_object_model();
         let slot = ModelSlot::new();
-        slot.publish_compiled(model, 0.5, Some(&map));
+        slot.publish(model.clone(), 0.5);
 
         let mut c = LfoCache::with_slot(1_000, LfoConfig::default(), slot);
         let before = c.quantized.clone().unwrap();
@@ -1444,12 +1436,18 @@ mod tests {
             !Arc::ptr_eq(&before, &after),
             "a new free bound must map to its own memo entry"
         );
-        // The scaled bound covers the scaled feature, so decisions match a
-        // flat-engine cache under the same scale.
+        // The scaled bound covers the scaled feature, so the pruned engine
+        // still scores every live row like the reference walk.
         c.enable_feature_sampling(1);
         c.handle(&req(0, 1, 100));
         // The row is built before admission: free = 1000 × 4.
-        assert_eq!(c.take_feature_samples()[0][2], 4_000.0);
+        let first = c.take_feature_samples();
+        assert_eq!(first[0][2], 4_000.0);
+        c.enable_feature_sampling(1);
+        for i in 1..200u64 {
+            c.handle(&req(i, i % 13, (i % 40) * 25 + 1));
+        }
+        assert_engine_matches_reference(&mut c, &model);
     }
 
     fn sampled_config(k: usize) -> LfoConfig {

@@ -23,9 +23,9 @@
 //!   still specializing to its local mix.
 //!
 //! Every per-PoP delta rollout carries the base grid's fingerprint in its
-//! [`Lineage`], exactly like single-cache incremental artifacts — the
-//! fingerprint is what authorizes quantized serving at publish time. A
-//! PoP whose delta candidate fails the [`FederationGate`] falls back to a
+//! [`Lineage`], exactly like single-cache incremental artifacts, so a warm
+//! restart resumes delta training on the same grid. A PoP whose delta
+//! candidate fails the [`FederationGate`] falls back to a
 //! scratch model for that PoP alone; the other PoPs' rollouts proceed
 //! untouched (no fleet-wide stall).
 //!
@@ -315,7 +315,7 @@ pub struct PopRollout {
 impl PopRollout {
     /// Wraps this rollout as a persistable artifact with per-PoP
     /// provenance. Delta rollouts carry the shared grid so a restore can
-    /// resume federated training (and quantized serving) on it.
+    /// resume federated training on it.
     pub fn artifact(
         &self,
         config: LfoConfig,
@@ -361,20 +361,12 @@ pub struct FleetRollout {
 }
 
 impl FleetRollout {
-    /// Publishes every PoP's rollout to its edge slot. Delta rollouts are
-    /// published with the shared grid so the quantized serving layout
-    /// compiles (fingerprint-gated); scratch rollouts serve through the
-    /// flat engine.
+    /// Publishes every PoP's rollout to its edge slot.
     pub fn publish_to(&self, topology: &PopsTopology) {
         for r in &self.rollouts {
-            let map = if r.kind == TrainKind::Incremental {
-                self.bin_map.as_ref()
-            } else {
-                None
-            };
             topology
                 .edge_slot(r.pop)
-                .publish_compiled(Arc::clone(&r.model), r.cutoff, map);
+                .publish(Arc::clone(&r.model), r.cutoff);
         }
     }
 
@@ -747,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    fn artifact_carries_pop_provenance_and_gated_grid() {
+    fn artifact_carries_pop_provenance_and_stamped_grid() {
         let windows = pop_windows(2, 2_000, 1024 * 1024);
         let config = LfoConfig::default();
         let gate = FederationGate {
@@ -768,10 +760,19 @@ mod tests {
         );
         let artifact = fleet.rollouts[1].artifact(config, "pops-unit", 0, fleet.bin_map.as_ref());
         assert_eq!(artifact.provenance.pop, Some(1));
-        assert!(
-            artifact.quantization_map().is_some(),
-            "delta artifact is authorized to quantize against the shared grid"
+        assert_eq!(
+            artifact
+                .bin_map
+                .as_ref()
+                .map(|m| format!("{:016x}", m.fingerprint())),
+            artifact
+                .provenance
+                .lineage
+                .as_ref()
+                .and_then(|l| l.bin_map_fingerprint.clone()),
+            "delta artifact carries the shared grid, stamped in its lineage"
         );
+        assert!(artifact.bin_map.is_some());
         let bytes = artifact.to_bytes().unwrap();
         let back = LfoArtifact::from_bytes(&bytes).unwrap();
         assert_eq!(back.provenance.pop, Some(1));

@@ -3,17 +3,20 @@
 //! The paper measures "the throughput in million requests per second
 //! achieved by our naive LFO predictor": a single thread serves just below
 //! 300K predictions/s and scaling is near-linear to 44 threads. This module
-//! provides both the measurement harness ([`prediction_throughput`]) and a
+//! provides both the measurement harness ([`prediction_throughput`], the
+//! naive flat walk, and [`prediction_throughput_engine`], any engine) and a
 //! small production-shaped prediction service ([`PredictionServer`]) where
 //! worker threads consume feature batches from a bounded std mpsc channel
-//! behind a shared receiver.
+//! behind a shared receiver. The server scores through the same compiled
+//! quantized engine as `LfoCache`; every engine compiles from the model
+//! alone, so no entry point here needs a bin grid.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use gbdt::{BinMap, EngineKind, Model, PackedScorer, Predicate, BATCH_ROWS};
+use gbdt::{EngineKind, Model, PackedScorer, Predicate, BATCH_ROWS};
 
 /// Result of a throughput measurement.
 #[derive(Clone, Copy, Debug)]
@@ -40,10 +43,10 @@ impl ThroughputResult {
     }
 }
 
-/// Measures raw prediction throughput through the flat f32 engine:
-/// `threads` workers evaluate the model over `rows` round-robin for
-/// `duration`. Shorthand for [`prediction_throughput_engine`] with
-/// [`EngineKind::Flat`], which needs no bin grid.
+/// Measures raw prediction throughput through the flat f32 engine — the
+/// paper's naive predictor: `threads` workers evaluate the model over
+/// `rows` round-robin for `duration`. Shorthand for
+/// [`prediction_throughput_engine`] with [`EngineKind::Flat`].
 ///
 /// # Panics
 ///
@@ -54,8 +57,7 @@ pub fn prediction_throughput(
     threads: usize,
     duration: Duration,
 ) -> ThroughputResult {
-    prediction_throughput_engine(model, rows, threads, duration, EngineKind::Flat, None, &[])
-        .expect("the flat engine needs no bin grid")
+    prediction_throughput_engine(model, rows, threads, duration, EngineKind::Flat, &[])
 }
 
 /// Measures raw prediction throughput through one serving engine:
@@ -69,9 +71,6 @@ pub fn prediction_throughput(
 /// batches through the shared scorer — the same batched entry point the
 /// training pipeline's prediction helper uses.
 ///
-/// Returns `None` when `engine` needs the frozen training grid and
-/// `bin_map` is absent or was fit on a different feature count.
-///
 /// # Panics
 ///
 /// Panics if `threads` is 0 or `rows` is empty.
@@ -81,12 +80,11 @@ pub fn prediction_throughput_engine(
     threads: usize,
     duration: Duration,
     engine: EngineKind,
-    bin_map: Option<&BinMap>,
     predicates: &[Predicate],
-) -> Option<ThroughputResult> {
+) -> ThroughputResult {
     assert!(threads > 0, "need at least one thread");
     assert!(!rows.is_empty(), "need at least one feature row");
-    let scorer = PackedScorer::pack(model, engine, rows, bin_map, predicates)?;
+    let scorer = PackedScorer::pack(model, engine, rows, predicates);
     let num_rows = scorer.num_rows();
 
     let total = AtomicU64::new(0);
@@ -119,11 +117,11 @@ pub fn prediction_throughput_engine(
         stop.store(true, Ordering::Relaxed);
     });
 
-    Some(ThroughputResult {
+    ThroughputResult {
         threads,
         predictions: total.load(Ordering::Relaxed),
         elapsed: start.elapsed(),
-    })
+    }
 }
 
 /// A batch of feature rows submitted to the [`PredictionServer`].
@@ -210,12 +208,13 @@ impl PredictionServer {
     /// How long a worker stalls after swallowing [`Self::STALL_PILL`].
     pub const STALL: Duration = Duration::from_secs(1);
 
-    /// Starts `threads` workers sharing `model`. The model is flattened
-    /// into its SoA serving layout once here; workers score through it
-    /// (bit-equal to `Model::predict_proba`).
+    /// Starts `threads` workers sharing `model`. The model is compiled
+    /// into the quantized serving engine once here; each worker encodes a
+    /// submitted batch and scores it through the batch kernel (bit-equal
+    /// to `Model::predict_proba`).
     pub fn start(model: Arc<Model>, threads: usize) -> Self {
         assert!(threads > 0);
-        let flat = Arc::new(model.flatten());
+        let quant = Arc::new(model.quantize());
         let (sender, receiver) = sync_channel::<BatchItem>(threads * 4);
         // std mpsc receivers are single-consumer; a mutex turns the channel
         // into the multi-consumer work queue crossbeam used to provide.
@@ -224,7 +223,7 @@ impl PredictionServer {
         let workers = (0..threads)
             .map(|_| {
                 let receiver = Arc::clone(&receiver);
-                let flat = Arc::clone(&flat);
+                let quant = Arc::clone(&quant);
                 let results = Arc::clone(&results);
                 std::thread::spawn(move || {
                     let mut served = 0u64;
@@ -242,8 +241,8 @@ impl PredictionServer {
                             std::thread::sleep(PredictionServer::STALL);
                             continue;
                         }
-                        let scores: Vec<f64> =
-                            batch.iter().map(|row| flat.predict_proba(row)).collect();
+                        let mut scores = vec![0.0f64; batch.len()];
+                        quant.predict_proba_binned_batch(&quant.encode_rows(&batch), &mut scores);
                         served += scores.len() as u64;
                         lock_unpoisoned(&results).push((id, scores));
                     }
@@ -383,23 +382,9 @@ mod tests {
     }
 
     #[test]
-    fn quantized_engine_needs_a_grid_and_serves() {
+    fn every_engine_serves() {
+        let model = toy_model();
         let rows: Vec<Vec<f32>> = (0..200).map(|i| vec![i as f32, (i % 7) as f32]).collect();
-        let labels: Vec<f32> = (0..200).map(|i| (i > 100) as u8 as f32).collect();
-        let data = Dataset::from_rows(rows.clone(), labels).unwrap();
-        let params = GbdtParams::lfo_paper();
-        let model = train(&data, &params);
-        let map = gbdt::BinMap::fit(&data, params.max_bins);
-        assert!(prediction_throughput_engine(
-            &model,
-            &rows,
-            1,
-            Duration::from_millis(10),
-            EngineKind::Quantized,
-            None,
-            &[]
-        )
-        .is_none());
         for engine in EngineKind::ALL {
             let r = prediction_throughput_engine(
                 &model,
@@ -407,10 +392,8 @@ mod tests {
                 1,
                 Duration::from_millis(20),
                 engine,
-                Some(&map),
                 &[],
-            )
-            .unwrap();
+            );
             assert!(
                 r.predictions > 0,
                 "engine {} served nothing",

@@ -13,7 +13,7 @@
 //! All shards refresh from **one shared [`ModelSlot`]**: a gated rollout
 //! published by the staged pipeline's deployer reaches every shard
 //! atomically — each shard picks the new model up on its next request, and
-//! the flat serving layout is built once at publish time, not per shard.
+//! the serving engine is compiled once at publish time, not per shard.
 //!
 //! Because the hash depends only on the object id, every request for an
 //! object always lands on the same shard; per-shard metrics are therefore

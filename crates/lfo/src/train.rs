@@ -77,8 +77,7 @@ fn finish_window(model: Model, data: &Dataset, config: &LfoConfig) -> TrainedWin
 /// loop across the codebase.
 fn batch_probs(model: &Model, data: &Dataset) -> Vec<f64> {
     let rows: Vec<Vec<f32>> = (0..data.num_rows()).map(|r| data.row(r)).collect();
-    let scorer = PackedScorer::pack(model, EngineKind::Flat, &rows, None, &[])
-        .expect("the flat engine needs no bin grid");
+    let scorer = PackedScorer::pack(model, EngineKind::Flat, &rows, &[]);
     let mut out = vec![0.0f64; rows.len()];
     scorer.score_all(&mut out);
     out

@@ -35,17 +35,38 @@ cargo test -q --test pipeline_faults
 # Smoke the prediction-throughput / serving-engine benchmark (DESIGN.md
 # §12): races the recursive, flat, quantized, and quantized+pruned
 # engines over the same rows and writes results/BENCH_fig7.json — the
-# quantized >= 3x speedup gate and the bit-equality of the mask kernel
-# are enforced inside the run, so a kernel regression fails verify here.
+# quantized >= 3x speedup gate and every engine's bit-equality with the
+# flat walk are enforced inside the run, so a kernel regression fails
+# verify here.
 echo "== repro --smoke fig7 (engine-comparison smoke) =="
 cargo run -q --release -p bench --bin repro -- --smoke fig7
 
 # Smoke the end-to-end sharded serving benchmark (DESIGN.md §9): trains a
-# small model, replays the smoke-scale trace at 1 and 2 shards, and writes
-# results/BENCH_serve.json — so a routing, pooling, or frontier regression
-# fails verify, not just the full quick-scale run.
+# small model, replays the smoke-scale trace at 1 and 2 shards through the
+# one quantized+pruned engine, and writes results/BENCH_serve.json. The
+# run asserts that the deterministic 1-shard fleet's BHR equals the
+# unsharded reference's exactly, so a routing, pooling, frontier, or
+# engine regression fails verify, not just the full quick-scale run.
 echo "== repro --smoke serve (sharded serving smoke) =="
 cargo run -q --release -p bench --bin repro -- --smoke serve
+
+# The repository benchmark (perfbench/, a cargo workspace of its own)
+# compiles against public gbdt/lfo APIs that the root workspace does not
+# build: build it and run its statistics tests, so an API change that
+# breaks it fails here.
+echo "== perfbench: build + unit tests =="
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+# One short untraced prod-serve run. Its in-run checks (every fleet serves
+# quantized+pruned, a 1-shard fleet matches the unsharded replay counter
+# for counter) decide the "correct" flag of its last stdout line.
+echo "== perfbench --workload prod-serve (smoke) =="
+last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload prod-serve --seed 1 --seconds 1 --trace 0 | tail -n 1)
+if [[ "$last" != *'"correct": true'* ]]; then
+    echo "perfbench smoke run failed its checks: $last" >&2
+    exit 1
+fi
 
 # Smoke the kill/restart durability experiment (DESIGN.md §10): persists
 # artifacts mid-run, restarts from the store through the gated warm-start

@@ -154,13 +154,12 @@ fn golden_recipe_is_deterministic() {
     assert_eq!(a.model, b.model);
 }
 
-/// v2 artifacts written before publish-time quantization carry no bin map
-/// and no quantization fingerprint. Publishing one must serve through the
-/// f32 walk — no quantized engine gets compiled, and the predictions stay
-/// exactly the pinned golden values (no silent requantization against some
-/// freshly fitted grid).
+/// v2 artifacts written before bin maps existed carry no grid at all.
+/// Publishing one compiles the serving engine from the model's own split
+/// thresholds, and that engine reproduces the pinned golden predictions
+/// bit for bit on the probe rows.
 #[test]
-fn fingerprintless_artifact_serves_through_the_unquantized_path() {
+fn pre_bin_map_golden_artifact_publishes_a_bit_equal_compiled_engine() {
     if std::env::var("LFO_REGEN_GOLDEN").is_ok() {
         return; // regeneration run; the loading test writes the fixture
     }
@@ -169,27 +168,23 @@ fn fingerprintless_artifact_serves_through_the_unquantized_path() {
         artifact.bin_map.is_none(),
         "golden fixture predates bin maps"
     );
-    assert!(artifact.quantization_map().is_none());
 
     let slot = ModelSlot::new();
     artifact.publish_to(&slot);
-    let compiled = slot.compiled().expect("publish installs an artifact");
-    assert!(
-        compiled.quantized.is_none(),
-        "a fingerprint-less artifact must not be quantized at publish"
-    );
-
-    // Predictions through the published layouts still match the fixture.
+    let quant = slot
+        .compiled()
+        .expect("publish installs an artifact")
+        .quantized
+        .clone();
     let expected: Vec<f64> =
         serde_json::from_str(&std::fs::read_to_string(predictions_path()).unwrap()).unwrap();
+    let mut bins = Vec::new();
     for (row, want) in probe_rows(artifact.config.num_features())
         .iter()
         .zip(&expected)
     {
-        let recursive = compiled.model.predict_proba(row);
-        let flat = compiled.flat.predict_proba(row);
-        assert!((recursive - want).abs() <= 1e-9);
-        assert_eq!(recursive.to_bits(), flat.to_bits());
+        quant.encode_row_into(row, &mut bins);
+        assert_eq!(quant.predict_proba_binned(&bins).to_bits(), want.to_bits());
     }
 }
 
@@ -241,17 +236,16 @@ fn pre_bounded_artifact_warm_starts_a_bounded_tracker() {
 }
 
 /// A legacy artifact that *has* a bin map but whose lineage never recorded
-/// the map's fingerprint (e.g. incremental-retrain artifacts written
-/// before quantization existed, or a map grafted on by hand) is treated
-/// the same way: the map is usable for warm-start retraining, but it does
-/// not authorize quantization.
+/// the map's fingerprint (a map grafted on by direct field assignment), and
+/// the same map attached through `with_bin_map`, both publish the engine
+/// the bare model compiles to: the map serves warm-start retraining only.
 #[test]
-fn bin_map_without_fingerprint_does_not_authorize_quantization() {
-    let mut artifact = golden_artifact();
+fn grafted_bin_map_leaves_the_compiled_engine_unchanged() {
+    let mut grafted = golden_artifact();
     let data = Dataset::from_rows(
         (0..60)
             .map(|r| {
-                (0..artifact.config.num_features())
+                (0..grafted.config.num_features())
                     .map(|c| ((r * 19 + c * 23) % 211) as f32 * 2.0)
                     .collect()
             })
@@ -259,21 +253,22 @@ fn bin_map_without_fingerprint_does_not_authorize_quantization() {
         vec![0.0; 60],
     )
     .unwrap();
-    // Direct field assignment: the pre-quantization code path, which never
-    // stamped a fingerprint into the lineage.
-    artifact.bin_map = Some(BinMap::fit(&data, artifact.config.gbdt.max_bins));
-    assert!(artifact.provenance.lineage.is_none());
-    assert!(artifact.quantization_map().is_none());
+    grafted.bin_map = Some(BinMap::fit(&data, grafted.config.gbdt.max_bins));
+    assert!(grafted.provenance.lineage.is_none());
+    let stamped = golden_artifact().with_bin_map(grafted.bin_map.clone());
 
-    let slot = ModelSlot::new();
-    artifact.publish_to(&slot);
-    assert!(slot.compiled().unwrap().quantized.is_none());
-
-    // The sanctioned path — with_bin_map — stamps the fingerprint and
-    // unlocks quantization for the same map.
-    let stamped = golden_artifact().with_bin_map(artifact.bin_map.clone());
-    assert!(stamped.quantization_map().is_some());
-    let slot = ModelSlot::new();
-    stamped.publish_to(&slot);
-    assert!(slot.compiled().unwrap().quantized.is_some());
+    let rows = probe_rows(grafted.config.num_features());
+    for artifact in [&grafted, &stamped] {
+        let slot = ModelSlot::new();
+        artifact.publish_to(&slot);
+        let quant = slot.compiled().unwrap().quantized.clone();
+        let mut bins = Vec::new();
+        for row in &rows {
+            quant.encode_row_into(row, &mut bins);
+            assert_eq!(
+                quant.predict_proba_binned(&bins).to_bits(),
+                artifact.model.predict_proba(row).to_bits()
+            );
+        }
+    }
 }

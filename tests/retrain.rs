@@ -257,9 +257,9 @@ fn federated_delta_rollouts_share_the_base_grid_fingerprint() {
             "pop {}: delta trees must be binned on the base model's grid",
             rollout.pop
         );
-        // The fingerprint is load-bearing: it is what authorizes the
-        // quantized serving layout at publish time, so a persisted delta
-        // artifact must come back quantization-ready.
+        // The fingerprint is load-bearing: a warm restart resumes delta
+        // training on the stored grid, so a persisted delta artifact must
+        // come back with the grid its lineage vouches for.
         let artifact = rollout.artifact(
             config.clone(),
             "retrain-federation",
@@ -268,9 +268,18 @@ fn federated_delta_rollouts_share_the_base_grid_fingerprint() {
         );
         assert_eq!(artifact.provenance.pop, Some(rollout.pop));
         let restored = lfo::LfoArtifact::from_bytes(&artifact.to_bytes().unwrap()).unwrap();
-        assert!(
-            restored.quantization_map().is_some(),
-            "pop {}: restored delta artifact must be authorized to quantize",
+        let restored_map = restored
+            .bin_map
+            .as_ref()
+            .expect("restored delta artifact carries its grid");
+        assert_eq!(
+            Some(format!("{:016x}", restored_map.fingerprint())).as_deref(),
+            restored
+                .provenance
+                .lineage
+                .as_ref()
+                .and_then(|l| l.bin_map_fingerprint.as_deref()),
+            "pop {}: restored grid must match its lineage fingerprint",
             rollout.pop
         );
     }
